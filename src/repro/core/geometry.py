@@ -49,8 +49,8 @@ from repro.constants import (
     VALUE_SLOT_SIZE,
 )
 from repro.core.lookup import CacheLookupTable, LookupResult
-from repro.core.memory import Allocation, SwitchMemoryManager
-from repro.core.primitives import RegisterArray
+from repro.core.memory import SwitchMemoryManager
+from repro.core.primitives import RegisterArray, bits_of
 from repro.core.status import CacheStatusModule
 from repro.core.values import ValueStore
 from repro.errors import ConfigurationError
@@ -217,10 +217,14 @@ class PaperLayout(CacheLayout):
     value register arrays addressed by :class:`Allocation`, a cache-status
     module per pipe, and Algorithm-2 first-fit memory management.
 
-    This class is the pre-seam ``NetCacheDataplane`` internals moved
-    wholesale; every table/register/counter access happens in the same
-    order with the same arguments, which is what keeps the golden files
-    and the simcore equivalence gates passing without regeneration.
+    The scalar methods are the pre-seam ``NetCacheDataplane`` internals
+    moved wholesale, with every table/register/counter access in the same
+    order and with the same arguments.  The batch probe
+    (:meth:`classify_reads`) keeps the same counter *totals*, not the same
+    access order: it memoizes each key's lookup-table entry and applies
+    the hit/miss, valid-bit and per-array value-read accounting with numpy
+    kernels.  Equal totals are what the golden files and the simcore
+    equivalence gates pin.
     """
 
     name = "paper"
@@ -255,6 +259,14 @@ class PaperLayout(CacheLayout):
                                 slot_bytes=slot_bytes)
             for p in range(num_pipes)
         ]
+        #: key -> key index (-1 for a lookup miss): memoized probe results
+        #: for the batch kernel, built without hit/miss accounting and
+        #: cleared by every mutator of the lookup entries (install, evict,
+        #: defragment_pipe).  A memoized key index's egress pipe and value
+        #: bitmap sit in the two arrays below, written with its entry.
+        self._probe_cache: Dict[bytes, int] = {}
+        self._pipe_of_index = np.zeros(entries, dtype=np.int32)
+        self._bitmap_of_index = np.zeros(entries, dtype=np.uint64)
 
     def pipe_of_port(self, port: int) -> int:
         from repro.core.primitives import port_to_pipe
@@ -298,31 +310,69 @@ class PaperLayout(CacheLayout):
             # the entry stays invalid until the controller reinstalls it.
         return applied
 
+    def _probe(self, key: bytes) -> int:
+        """Key index of *key*'s lookup entry, or -1 on a miss, without
+        hit/miss accounting; records the entry's egress pipe and value
+        bitmap for the batch kernel."""
+        entry = self.lookup.table.peek(key)
+        if entry is None:
+            return -1
+        key_index = entry["key_index"]
+        self._pipe_of_index[key_index] = self.pipe_of_port(
+            entry["egress_port"])
+        self._bitmap_of_index[key_index] = entry["bitmap"]
+        return key_index
+
     def classify_reads(self, keys: Sequence[bytes], read_values: bool):
-        probe = self.lookup.probe
-        status = self.status
-        values = self.values
-        ports_per_pipe = self.ports_per_pipe
-        num_pipes = self.num_pipes
-        hit_mask = np.zeros(len(keys), dtype=bool)
-        hit_indexes: List[int] = []
-        miss_keys: List[bytes] = []
-        miss_pos: List[int] = []
-        for j, key in enumerate(keys):
-            entry = probe(key)
-            if entry is not None:
-                key_index = entry["key_index"]
-                pipe = (entry["egress_port"] // ports_per_pipe) % num_pipes
-                if status[pipe].is_valid(key_index):
-                    hit_mask[j] = True
-                    hit_indexes.append(key_index)
-                    if read_values:
-                        values[pipe].read(Allocation(
-                            index=entry["value_index"],
-                            bitmap=entry["bitmap"]))
-                    continue
-            miss_keys.append(key)
-            miss_pos.append(j)
+        """Memoized lookup + validity batch probe.
+
+        Equivalent to looping :meth:`lookup_hit` (plus one
+        :meth:`read_value` per valid hit when *read_values*): each key's
+        lookup entry is memoized in ``_probe_cache``, and the lookup
+        hits/misses, the valid-bit reads of each pipe and the reads of
+        each value register array receive the same totals numpy-side.
+        """
+        n = len(keys)
+        cache = self._probe_cache
+        cached = cache.get
+        found = [cached(key) for key in keys]
+        if None in found:
+            probe = self._probe
+            for j, key_index in enumerate(found):
+                if key_index is None:
+                    key = keys[j]
+                    key_index = cached(key)
+                    if key_index is None:
+                        key_index = cache[key] = probe(key)
+                    found[j] = key_index
+        key_indexes = np.array(found, dtype=np.int64)
+        found_pos = np.flatnonzero(key_indexes >= 0)
+        found_idx = key_indexes[found_pos]
+        table = self.lookup.table
+        table.hits += len(found_pos)
+        table.misses += n - len(found_pos)
+        pipes = self._pipe_of_index[found_idx]
+        valid = np.zeros(len(found_pos), dtype=bool)
+        for pipe in np.unique(pipes).tolist():
+            in_pipe = pipes == pipe
+            valid[in_pipe] = self.status[pipe].valid.read_int_batch(
+                found_idx[in_pipe]) != 0
+            if read_values:
+                # The scalar path reads (and discards) one slot per set
+                # bit of each valid hit's bitmap; only the register
+                # accounting is observable here.
+                arrays = self.values[pipe].arrays
+                bitmaps, counts = np.unique(
+                    self._bitmap_of_index[found_idx[in_pipe & valid]],
+                    return_counts=True)
+                for bitmap, count in zip(bitmaps.tolist(), counts.tolist()):
+                    for array in bits_of(bitmap):
+                        arrays[array].note_batch_reads(count)
+        hit_mask = np.zeros(n, dtype=bool)
+        hit_mask[found_pos[valid]] = True
+        hit_indexes = found_idx[valid].tolist()
+        miss_pos = np.flatnonzero(~hit_mask).tolist()
+        miss_keys = [keys[p] for p in miss_pos]
         return hit_mask, hit_indexes, miss_keys, miss_pos, None
 
     # -- control plane ------------------------------------------------------------
@@ -335,6 +385,7 @@ class PaperLayout(CacheLayout):
         if alloc is None:
             return False
         key_index = self.lookup.insert(key, alloc, egress_port)
+        self._probe_cache.clear()
         self.values[pipe].write(alloc, value)
         self.status[pipe].reset_entry(key_index)
         self.status[pipe].set_valid(key_index)
@@ -346,6 +397,7 @@ class PaperLayout(CacheLayout):
             return False
         pipe = self.pipe_of_port(res.egress_port)
         key_index = self.lookup.remove(key)
+        self._probe_cache.clear()
         self.status[pipe].reset_entry(key_index)
         self.values[pipe].clear(res.allocation)
         self.memory[pipe].evict(key)
@@ -400,6 +452,8 @@ class PaperLayout(CacheLayout):
             entry = self.lookup.table.lookup(key)
             entry["bitmap"] = new.bitmap
             entry["value_index"] = new.index
+        if staged:
+            self._probe_cache.clear()
         return len(staged)
 
     def try_defragment(self, egress_port: int) -> None:

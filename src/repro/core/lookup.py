@@ -68,15 +68,6 @@ class CacheLookupTable:
             egress_port=entry["egress_port"],
         )
 
-    def probe(self, key: bytes) -> Optional[dict]:
-        """Raw action-data dict of a hit (hot path; treat as read-only).
-
-        Same table access and hit/miss accounting as :meth:`lookup`, minus
-        the per-call :class:`LookupResult` allocation — the batch
-        statistics path probes thousands of keys per step.
-        """
-        return self.table.lookup(key)
-
     # -- control plane -----------------------------------------------------------
 
     def insert(self, key: bytes, alloc: Allocation, egress_port: int) -> int:

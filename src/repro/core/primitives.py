@@ -214,6 +214,11 @@ class MatchActionTable:
             self.hits += 1
         return entry
 
+    def peek(self, match: bytes) -> Optional[Dict[str, Any]]:
+        """:meth:`lookup` without hit/miss accounting, for batch kernels
+        that memoize a probe and count the totals themselves."""
+        return self._entries.get(match)
+
     def entries(self) -> Dict[bytes, Dict[str, Any]]:
         """Copy of the current entries (control-plane read)."""
         return {k: dict(v) for k, v in self._entries.items()}

@@ -45,15 +45,17 @@ class HashTable:
         self._occupied = 0  # FULL + TOMBSTONE
         self.total_probes = 0
         self.total_lookups = 0
+        #: rebuilds so far (growth or tombstone purge); each moves slots.
+        self.resizes = 0
 
     # -- internals -----------------------------------------------------------
 
     def _slot(self, key: bytes) -> int:
         return hash_bytes(key, self._seed) & (self._capacity - 1)
 
-    def _find(self, key: bytes) -> Tuple[int, bool]:
-        """Return (slot, found).  If not found, slot is the insertion point
-        (first tombstone seen, else first empty)."""
+    def _walk(self, key: bytes) -> Tuple[int, bool, int]:
+        """(slot, found, probes) without accounting.  If not found, slot is
+        the insertion point (first tombstone seen, else first empty)."""
         idx = self._slot(key)
         first_tombstone = -1
         probes = 0
@@ -61,21 +63,25 @@ class HashTable:
             probes += 1
             state = self._states[idx]
             if state == _EMPTY:
-                self.total_probes += probes
-                self.total_lookups += 1
                 if first_tombstone >= 0:
-                    return first_tombstone, False
-                return idx, False
+                    return first_tombstone, False, probes
+                return idx, False, probes
             if state == _TOMBSTONE:
                 if first_tombstone < 0:
                     first_tombstone = idx
             elif self._keys[idx] == key:
-                self.total_probes += probes
-                self.total_lookups += 1
-                return idx, True
+                return idx, True, probes
             idx = (idx + 1) & (self._capacity - 1)
 
+    def _find(self, key: bytes) -> Tuple[int, bool]:
+        """Return (slot, found), counting the lookup and its probes."""
+        idx, found, probes = self._walk(key)
+        self.total_probes += probes
+        self.total_lookups += 1
+        return idx, found
+
     def _resize(self, new_capacity: int) -> None:
+        self.resizes += 1
         old = [
             (self._keys[i], self._values[i])
             for i in range(self._capacity)
@@ -134,6 +140,10 @@ class HashTable:
     def contains(self, key: bytes) -> bool:
         _, found = self._find(key)
         return found
+
+    def probe_cost(self, key: bytes) -> int:
+        """Probes a lookup of *key* would count, without counting them."""
+        return self._walk(key)[2]
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         for i in range(self._capacity):

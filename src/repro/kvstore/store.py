@@ -8,7 +8,9 @@ paper's servers use Receive Side Scaling / Flow Director to shard keys over
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.constants import MAX_VALUE_SIZE
 from repro.errors import ConfigurationError, ValueFormatError
@@ -62,6 +64,9 @@ class KVStore:
         self.gets = 0
         self.puts = 0
         self.deletes = 0
+        #: bumped whenever slot layout can change (a new-key put, a
+        #: delete, a resize), so callers can memoize :meth:`get_cost`.
+        self.version = 0
 
     def _core_of(self, key: bytes) -> int:
         return hash_bytes(key, _CORE_SEED) % self.num_cores
@@ -86,12 +91,41 @@ class KVStore:
                 f"{self.max_value_size}"
             )
         self.puts += 1
-        self._shard(key).put(key, value)
+        shard = self._shard(key)
+        resizes = shard.resizes
+        if shard.put(key, value) or shard.resizes != resizes:
+            self.version += 1
 
     def delete(self, key: bytes) -> bool:
         """Remove *key*; returns True if it existed."""
         self.deletes += 1
-        return self._shard(key).delete(key)
+        if not self._shard(key).delete(key):
+            return False
+        self.version += 1
+        return True
+
+    def get_cost(self, key: bytes) -> Tuple[int, int]:
+        """``(core, probes)`` that :meth:`get` of *key* would account,
+        without accounting them.  Valid until :attr:`version` moves."""
+        core = self._core_of(key)
+        return core, self._shards[core].probe_cost(key)
+
+    def note_gets(self, cores, probes) -> None:
+        """Account one :meth:`get` per entry of *cores* and *probes* (as
+        :meth:`get_cost` returned them): the same ``gets``, ``core_ops``
+        and per-shard probe and lookup totals as N sequential gets."""
+        n = len(cores)
+        if not n:
+            return
+        self.gets += n
+        lookups = np.bincount(cores, minlength=self.num_cores)
+        probe_sums = np.bincount(cores, weights=probes,
+                                 minlength=self.num_cores)
+        for core in np.flatnonzero(lookups).tolist():
+            shard = self._shards[core]
+            self.core_ops[core] += int(lookups[core])
+            shard.total_lookups += int(lookups[core])
+            shard.total_probes += int(probe_sums[core])
 
     def contains(self, key: bytes) -> bool:
         return self._shards[self._core_of(key)].contains(key)
@@ -103,6 +137,16 @@ class KVStore:
         return self.contains(key)
 
     # -- diagnostics -------------------------------------------------------------
+
+    @property
+    def total_probes(self) -> int:
+        """Slot (or chain-node) probes over every shard's lookups."""
+        return sum(shard.total_probes for shard in self._shards)
+
+    @property
+    def total_lookups(self) -> int:
+        """Lookups counted by every shard (gets, puts, deletes, contains)."""
+        return sum(shard.total_lookups for shard in self._shards)
 
     def core_imbalance(self) -> float:
         """max/mean ratio of per-core operation counts (1.0 = perfectly even)."""

@@ -60,6 +60,12 @@ for the statistics path):
   events, events bound every flush, and the ``contents_version``-keyed
   item mask invalidates alongside them — mirroring how cache-hit writes
   are ordering barriers.
+* **Store-get lane.** A read completion's ``store.get`` only advances
+  counters (the reply carries no value bytes in lanes).  The engine
+  keeps each item's get cost — owner core, probe count — in an
+  item-indexed memo, refilled lazily for a server whenever its
+  ``KVStore.version`` moves (new-key put, delete, resize), and applies
+  a whole completion slice with one ``KVStore.note_gets``.
 * **Events stay authoritative.** Anything that is not lane traffic —
   cache-update coherence, controller RPCs, retransmissions, hot-key
   reports — runs as ordinary events.  The engine only flushes lane
@@ -280,6 +286,15 @@ class FastPathEngine:
             (clients[0].partitioner.server_for(k)
              for k in self._key_of_item),
             dtype=np.int64, count=keyspace.num_keys)
+        # Store-get accounting memo by item id (each item has one owner
+        # server): the owner shard's core and the get's probe count, 0
+        # while not yet computed.  Refilled lazily; a move of the owner
+        # store's version drops that server's entries.
+        max_cores = max(s.store.num_cores for s in self._servers.values())
+        self._get_core = np.zeros(keyspace.num_keys,
+                                  dtype=np.min_scalar_type(max_cores - 1))
+        self._get_probes = np.zeros(keyspace.num_keys, dtype=np.int32)
+        self._get_version = {sid: -1 for sid in self._servers}
 
         # Lanes.
         self._sw_arr = _Lane()
@@ -1359,15 +1374,12 @@ class FastPathEngine:
     def _complete_reads(self, server, sid: int, chunk, start: int,
                         stop: int) -> None:
         sim = self.sim
-        key_of = self._key_of_item
         t = chunk["t"][start:stop]
         items = chunk["items"][start:stop]
         n = stop - start
         # The shim serves the value regardless of reachability; only the
         # reply transmission can drop.
-        store_get = server.store.get
-        for i in items:
-            store_get(key_of[i])
+        self._note_store_gets(server.store, sid, items)
         if sid in sim._down_nodes:
             # send_reply(): transmit from a crashed source drops.
             sim.lost += n
@@ -1388,6 +1400,22 @@ class FastPathEngine:
         if "idx" in chunk:
             cols["idx"] = chunk["idx"][start:stop]
         self._sw_rep[sid].push(t + link.latency, **cols)
+
+    def _note_store_gets(self, store, sid: int, items: np.ndarray) -> None:
+        """Account one ``store.get`` per entry of *items* (served by server
+        *sid*) from the item-indexed cost memo, filling stale entries
+        with side-effect-free :meth:`KVStore.get_cost` probes."""
+        probes = self._get_probes
+        if self._get_version[sid] != store.version:
+            probes[self._server_of_item == sid] = 0
+            self._get_version[sid] = store.version
+        stale = items[probes[items] == 0]
+        if len(stale):
+            cores = self._get_core
+            key_of = self._key_of_item
+            for item in np.unique(stale).tolist():
+                cores[item], probes[item] = store.get_cost(key_of[item])
+        store.note_gets(self._get_core[items], probes[items])
 
     def _complete_write(self, server, sid: int, chunk, i: int) -> None:
         """One write completion through the *real* shim.

@@ -237,6 +237,8 @@ def counters_snapshot(cluster: Cluster, client, trace: DeliveryTrace,
         snap[f"server{sid}.store.gets"] = srv.store.gets
         snap[f"server{sid}.store.puts"] = srv.store.puts
         snap[f"server{sid}.store.core_ops"] = list(srv.store.core_ops)
+        snap[f"server{sid}.store.probes"] = srv.store.total_probes
+        snap[f"server{sid}.store.lookups"] = srv.store.total_lookups
     # Additional workload clients (client-0 keys keep their unprefixed
     # names so single-client goldens stay comparable across versions).
     extra = [c for c in cluster.clients

@@ -14,7 +14,7 @@ import json
 import math
 import statistics
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.export import registry_from_jsonl, registry_to_jsonl
@@ -41,20 +41,24 @@ def _bucket_width_at(hist: Histogram, v: float) -> float:
 
 
 @given(data=values, q=quantile_points)
+@example(data=[0.0] * 5 + [100.5] * 2 + [101.0] * 9, q=1 / 3)
 @settings(max_examples=200)
 def test_quantile_within_bucket_width_of_statistics(data, q):
+    # statistics.quantiles(n=1000) yields the grid quantiles i/1000, so
+    # the histogram, the exact value and its bracket are all taken at the
+    # grid point nearest q.
+    i = max(1, min(999, round(q * 1000)))
     hist = Histogram("h", edges=EDGES)
     for v in data:
         hist.observe(v)
-    est = hist.quantile(q)
+    est = hist.quantile(i / 1000)
 
     srt = sorted(data)
     n = len(srt)
     # statistics.quantiles(method="inclusive") interpolates between the
-    # order statistics bracketing position q*(n-1).
-    exact = statistics.quantiles(srt, n=1000, method="inclusive")[
-        max(0, min(998, round(q * 1000) - 1))]
-    j = math.floor(q * (n - 1))
+    # order statistics bracketing position i*(n-1)/1000.
+    exact = statistics.quantiles(srt, n=1000, method="inclusive")[i - 1]
+    j = i * (n - 1) // 1000
     bracket_gap = srt[min(j + 1, n - 1)] - srt[j]
     tolerance = _bucket_width_at(hist, exact) + bracket_gap + 1e-9
     assert abs(est - exact) <= tolerance

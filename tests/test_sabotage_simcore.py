@@ -24,6 +24,7 @@ import pytest
 
 from repro.core import geometry
 from repro.core.status import CacheStatusModule
+from repro.kvstore.store import KVStore
 from repro.net import fastpath
 from repro.net.trace import DeliveryTrace
 from repro.sim.simcore import (
@@ -267,3 +268,68 @@ class TestGeometryKernelSabotage:
         assert diffs, "a dropped recirculation pass must not pass the gate"
         fields = {d.split(":")[0] for d in diffs}
         assert any(f.endswith(".latencies") for f in fields), diffs
+
+
+class TestMemoSabotage:
+    """The lanes engine's two memos must be dropped when what they cache
+    changes; a memo that outlives its invalidation must fail the
+    differential in a named field."""
+
+    def test_probe_memo_surviving_install_evict_flags_the_lookup(
+            self, monkeypatch):
+        # The paper layout's per-key probe memo ignores clear(): after the
+        # controller installs or evicts a key, the batch probe keeps
+        # classifying it against the old lookup table.
+        class StickyMemo(dict):
+            def clear(self):
+                pass
+
+        cfg = tiny()
+        scalar = run_scalar(cfg)
+        assert scalar["controller.insertions"] > cfg.cache_items
+        orig = geometry.PaperLayout.__init__
+
+        def sabotaged(self, *args, **kwargs):
+            orig(self, *args, **kwargs)
+            self._probe_cache = StickyMemo()
+
+        monkeypatch.setattr(geometry.PaperLayout, "__init__", sabotaged)
+        bad = run_batched(cfg)
+        diffs = diff_snapshots(scalar, bad)
+        assert diffs, "a stale probe memo must not pass the gate"
+        fields = {d.split(":")[0] for d in diffs}
+        assert "lookup.hits" in fields, diffs
+
+    def test_store_memo_surviving_new_key_put_flags_the_probes(
+            self, monkeypatch):
+        # New keys land in every store mid-run (enough to resize shards,
+        # which moves every slot).  The sabotaged store forgets to bump
+        # its version for them, so the engine keeps accounting each get
+        # at its pre-resize probe count.
+        cfg = tiny(duration=0.03)
+
+        def script(cluster, client):
+            def load_new_keys():
+                for sid, server in cluster.servers.items():
+                    for i in range(2000):
+                        server.store.put(b"new-%d-%d" % (sid, i), b"v")
+
+            cluster.sim.events.schedule_at(0.015, load_new_keys)
+
+        scalar = run_faulted(cfg, script, batched=False)
+        assert diff_snapshots(
+            scalar, run_faulted(cfg, script, batched=True)) == []
+        orig = KVStore.put
+
+        def sabotaged(self, key, value):
+            version = self.version
+            orig(self, key, value)
+            self.version = version
+
+        monkeypatch.setattr(KVStore, "put", sabotaged)
+        bad = run_faulted(cfg, script, batched=True)
+        diffs = diff_snapshots(scalar, bad)
+        assert diffs, "a stale store memo must not pass the gate"
+        fields = {d.split(":")[0] for d in diffs}
+        assert fields and all(re.fullmatch(r"server\d+\.store\.probes", f)
+                              for f in fields), diffs

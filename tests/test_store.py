@@ -38,6 +38,52 @@ class TestApi:
         assert (store.puts, store.gets, store.deletes) == (1, 1, 1)
 
 
+class TestVersion:
+    """The version moves exactly when get costs can change."""
+
+    @pytest.mark.parametrize("backend", ["open", "chained"])
+    def test_moves_on_layout_changes_only(self, backend):
+        store = KVStore(num_cores=1, backend=backend)
+        store.put(b"k", b"v")
+        v = store.version
+        store.put(b"k", b"w")  # overwrite: same slots
+        store.get(b"k")
+        assert store.delete(b"absent") is False
+        assert store.version == v
+        store.put(b"k2", b"v")  # new key
+        assert store.version == v + 1
+        assert store.delete(b"k2") is True
+        assert store.version == v + 2
+
+    def test_resize_on_overwrite_moves_version(self):
+        # Open addressing grows before it looks the key up, so the put
+        # that follows the one filling the table to its load limit
+        # resizes even when it only overwrites.
+        store = KVStore(num_cores=1, backend="open")
+        shard = store._shards[0]
+        limit = int(shard.capacity * 0.7)
+        for i in range(limit):
+            store.put(b"key%d" % i, b"v")
+        v, capacity = store.version, shard.capacity
+        store.put(b"key0", b"w")
+        assert shard.capacity > capacity
+        assert store.version == v + 1
+
+    @pytest.mark.parametrize("backend", ["open", "chained"])
+    def test_get_cost_is_side_effect_free(self, backend):
+        store = KVStore(num_cores=4, backend=backend)
+        for i in range(200):
+            store.put(f"key{i}".encode(), b"v")
+        before = (store.gets, list(store.core_ops), store.total_probes,
+                  store.total_lookups)
+        core, probes = store.get_cost(b"key7")
+        assert (store.gets, list(store.core_ops), store.total_probes,
+                store.total_lookups) == before
+        store.get(b"key7")
+        assert store.core_ops[core] == before[1][core] + 1
+        assert store.total_probes == before[2] + probes
+
+
 class TestSharding:
     def test_key_sticks_to_one_core(self):
         store = KVStore(num_cores=8)
