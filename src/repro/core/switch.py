@@ -16,6 +16,7 @@ from repro.errors import ConfigurationError, RoutingError
 from repro.net.packet import Packet
 from repro.net.routing import RoutingTable
 from repro.net.simulator import Node
+from repro.obs import runtime as _obs
 
 
 class PlainSwitch(Node):
@@ -120,10 +121,22 @@ class NetCacheSwitch(PlainSwitch):
         ``processed`` and — since every read forwards exactly one packet,
         the cache reply or the miss forward — one ``forwarded``.  Actual
         transmission and hot-report scheduling stay with the caller.
+
+        Under an observability session each read is one
+        ``dataplane.process`` span, as in :meth:`NetCacheDataplane.
+        process`.  The batch callers only run sim-clocked sessions, under
+        which such a span takes no simulated time, so the spans are
+        recorded as zero-duration in one call, with the batch's wall time
+        as their summed wall time.
         """
         n = len(keys)
         self.processed += n
+        obs = _obs.ACTIVE
+        started = obs.tracer.wall_clock() if obs is not None else 0.0
         result = self.dataplane.process_read_batch(keys)
+        if obs is not None:
+            obs.tracer.zero_spans("dataplane.process", n,
+                                  obs.tracer.wall_clock() - started)
         self.forwarded += n
         return result
 
@@ -144,10 +157,16 @@ class NetCacheSwitch(PlainSwitch):
         return result
 
     def process_reply_batch(self, count: int) -> None:
-        """Batch of Get replies transiting server -> client: each is one
-        ``processed`` plus one routed ``forwarded``, no dataplane state."""
+        """Batch of replies transiting server -> client: each is one
+        ``processed`` plus one routed ``forwarded``, no dataplane state, and
+        one zero-duration ``dataplane.process`` span under a session (see
+        :meth:`process_read_batch`; with no dataplane work, no wall time
+        is recorded)."""
         self.processed += count
         self.forwarded += count
+        obs = _obs.ACTIVE
+        if obs is not None:
+            obs.tracer.zero_spans("dataplane.process", count)
 
     # -- control-plane surface used by the controller ---------------------------------
 

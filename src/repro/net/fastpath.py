@@ -72,9 +72,20 @@ for the statistics path):
   entries strictly earlier than the next pending event, so scalar state
   transitions (invalidations, insertions, statistics resets) interleave
   with batched traffic exactly as they would with per-packet events.
+* **Observed lanes.** An observability session whose primary clock is
+  this rack's simulator clock (:func:`repro.obs.sim_clock`) stays on the
+  lanes.  Under that clock every per-packet span takes no time, so the
+  engine emits the session's metrics in batch — ``dataplane.process``
+  spans from the switch batch calls, ``net.delivered``/``net.dropped``
+  per flush, and ``client.request`` latencies with hit/miss counts in
+  merged delivery order — and the registry ends up identical to the
+  scalar loop's.  A wall-clock session or one that keeps span events
+  cannot be reproduced in batch; it dirties the rack (reason
+  ``observer``).
 * **Fault windows fall back.** A window is *clean* when the rack links
   are deterministic (:meth:`Link.is_clean`), the switch and clients are
-  up, and no observability session is active.  When a fault opens,
+  up, and any observability session is one the lanes can emit for.
+  When a fault opens,
   pending lane entries are materialized back into real delivery/
   completion events (with matching ``_outstanding`` and retry-timer
   bookkeeping) and the engine drives the clients with real per-packet
@@ -86,8 +97,9 @@ for the statistics path):
 
 Equivalence contract: after ``run_until(t)`` every gated counter — sim
 delivered/lost/node_drops, client/server/switch/dataplane/statistics/
-controller counters, per-link counters, the client latency lists, and the
-delivery-trace digest — is byte-identical to the scalar reference run.
+controller counters, per-link counters, the client latency lists, the
+delivery-trace digest, and a sim-clocked session's registry — is
+byte-identical to the scalar reference run.
 The only accepted divergence is the relative order of *distinct* packets
 whose float timestamps collide exactly (the scalar loop breaks such ties
 by event sequence number, which the lanes do not reproduce); with the
@@ -345,7 +357,12 @@ class FastPathEngine:
 
     def _dirty_reason(self) -> Optional[str]:
         """Why the rack is ineligible for batched windows (None = clean)."""
-        if _obs.ACTIVE is not None:
+        obs = _obs.ACTIVE
+        if obs is not None and (getattr(obs.tracer.clock, "sim", None)
+                                is not self.sim or obs.tracer.keep_events):
+            # Wall-clock span durations and time-ordered span events only
+            # exist per packet; a sim-clocked session without events is
+            # emitted in batch (see the module docstring).
             return "observer"
         # Static eligibility: per-layout opt-in.  A layout is eligible once
         # its batch probe (classify_reads) is proven byte-identical to the
@@ -878,6 +895,9 @@ class FastPathEngine:
         real event and (a) takes over.
         """
         events = self.events
+        sim = self.sim
+        obs = _obs.ACTIVE
+        delivered, lost = sim.delivered, sim.lost
         while True:
             eff, inc = limit, inclusive
             nev = events.peek_time()
@@ -894,6 +914,12 @@ class FastPathEngine:
             progressed |= self._flush_client_replies(eff, inc)
             if not progressed:
                 break
+        if obs is not None:
+            # Lanes count deliveries and node drops on the simulator only;
+            # every one of them is a _deliver / _drop_at_node of the scalar
+            # loop, which mirrors it to these counters.
+            obs.net_delivered.inc(sim.delivered - delivered)
+            obs.net_dropped.inc(sim.lost - lost)
 
     # .. client -> switch ..........................................................
 
@@ -1469,12 +1495,20 @@ class FastPathEngine:
         server.send_reply = lane_reply
         server.send_to_gateway = lane_gateway
         server.schedule = lane_schedule
+        # The shim reads the session clock too (it stamps cache-update
+        # round trips); it must see the lane time, not the flush time.
+        obs = _obs.ACTIVE
+        if obs is not None:
+            flush_clock = obs.tracer.clock
+            obs.tracer.clock = lambda: t
         try:
             server.shim.process(pkt)
         finally:
             del server.send_reply
             del server.send_to_gateway
             del server.schedule
+            if obs is not None:
+                obs.tracer.clock = flush_clock
 
         if not captured:
             # Blocked behind an update/insertion (or dedup-QUEUED): the
@@ -1573,6 +1607,7 @@ class FastPathEngine:
         sim = self.sim
         sim.delivered += n
         trace = self._trace
+        latency = (t - sent) + CLIENT_OVERHEAD
         if not self._multi:
             st = self._states[0]
             if trace is not None:
@@ -1580,46 +1615,70 @@ class FastPathEngine:
                     sel = rop == op
                     trace.note_batch(t[sel], self.tor_id,
                                      st.client.node_id, int(op), seq[sel])
-            self._client_reply_batch(st, t, seq, sent, hit)
-            return True
-        for ci in range(len(self._states)):
-            mask = idx == ci
-            if not mask.any():
-                continue
-            st = self._states[ci]
-            if trace is not None:
-                for op in np.unique(rop[mask]):
-                    sel = mask & (rop == op)
-                    trace.note_batch(t[sel], self.tor_id,
-                                     st.client.node_id, int(op), seq[sel])
-            self._client_reply_batch(st, t[mask], seq[mask], sent[mask],
-                                     hit[mask])
+            answered = self._client_reply_batch(st, seq, latency, hit)
+        else:
+            answered = None
+            for ci in range(len(self._states)):
+                mask = idx == ci
+                if not mask.any():
+                    continue
+                st = self._states[ci]
+                if trace is not None:
+                    for op in np.unique(rop[mask]):
+                        sel = mask & (rop == op)
+                        trace.note_batch(t[sel], self.tor_id,
+                                         st.client.node_id, int(op),
+                                         seq[sel])
+                part = self._client_reply_batch(st, seq[mask],
+                                                latency[mask], hit[mask])
+                if part is not None:
+                    if answered is None:
+                        answered = np.ones(n, dtype=bool)
+                    answered[mask] = part
+        obs = _obs.ACTIVE
+        if obs is not None:
+            if answered is not None:
+                latency, hit = latency[answered], hit[answered]
+            self._observe_replies(obs, latency, hit)
         return True
 
-    def _client_reply_batch(self, st: _ClientState, t, seq, sent,
-                            hit) -> None:
+    @staticmethod
+    def _observe_replies(obs, latency: np.ndarray, hit: np.ndarray) -> None:
+        """Session metrics of the replies clients accepted, fed as one
+        stream in merged delivery order across clients — the histogram's
+        float sum depends on the order it is fed."""
+        hits = int(hit.sum())
+        obs.client_latency.observe_batch(latency)
+        obs.client_hits.inc(hits)
+        obs.client_misses.inc(len(hit) - hits)
+
+    def _client_reply_batch(self, st: _ClientState, seq, latency,
+                            hit) -> Optional[np.ndarray]:
+        """Answer one client's replies (delivery order); returns the mask
+        of replies its client accepted, or None when it accepted all."""
         client = st.client
         if st.scalarized:
             # Some seqs carry real outstanding entries (retry timers,
             # blocked writes); resolve the whole batch per-entry so the
             # latency list keeps delivery-time order.
-            for i in range(len(t)):
-                self._client_reply_one(st, int(seq[i]), float(t[i]),
-                                       float(sent[i]), bool(hit[i]))
-            return
-        n = len(t)
+            return np.fromiter(
+                (self._client_reply_one(st, s, lat, h) for s, lat, h in
+                 zip(seq.tolist(), latency.tolist(), hit.tolist())),
+                dtype=bool, count=len(seq))
+        n = len(seq)
         client.received += n
         client.cache_hits += int(hit.sum())
         client._interval_received += n
-        latencies = (t - sent) + CLIENT_OVERHEAD
         room = client.max_latency_samples - len(client.latencies)
         if room > 0:
-            client.latencies.extend(latencies[:room].tolist())
+            client.latencies.extend(latency[:room].tolist())
+        return None
 
-    def _client_reply_one(self, st: _ClientState, seq: int, t: float,
-                          sent: float, hit: bool) -> None:
-        """Scalar-exact reply handling for one lane entry
-        (mirrors ``NetCacheClient.handle_packet``)."""
+    def _client_reply_one(self, st: _ClientState, seq: int, latency: float,
+                          hit: bool) -> bool:
+        """Scalar-exact reply handling for one lane entry (mirrors
+        ``NetCacheClient.handle_packet``); False for a reply the client
+        ignores."""
         client = st.client
         if seq in st.scalarized:
             st.scalarized.discard(seq)
@@ -1627,7 +1686,7 @@ class FastPathEngine:
             if entry is None:
                 # Already answered by a retransmission (or expired):
                 # the scalar path ignores the late duplicate.
-                return
+                return False
             if entry.timer is not None:
                 entry.timer.cancel()
         client.received += 1
@@ -1635,7 +1694,8 @@ class FastPathEngine:
             client.cache_hits += 1
         client._interval_received += 1
         if len(client.latencies) < client.max_latency_samples:
-            client.latencies.append((t - sent) + CLIENT_OVERHEAD)
+            client.latencies.append(latency)
+        return True
 
     # -- fault-window fallback -------------------------------------------------------
 

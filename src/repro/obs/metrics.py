@@ -17,6 +17,8 @@ import math
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 #: Default geometric bucket edges for latency-style histograms (seconds):
@@ -111,7 +113,8 @@ class Histogram:
     bucket counts values above ``edges[-1]``.
     """
 
-    __slots__ = ("name", "edges", "counts", "count", "sum", "min", "max")
+    __slots__ = ("name", "edges", "counts", "count", "sum", "min", "max",
+                 "_edge_array")
 
     def __init__(self, name: str, edges: Optional[Sequence[float]] = None):
         self.name = name
@@ -121,6 +124,7 @@ class Histogram:
         if any(b <= a for a, b in zip(chosen, chosen[1:])):
             raise ConfigurationError("bucket edges must be strictly increasing")
         self.edges = chosen
+        self._edge_array = np.asarray(chosen, dtype=np.float64)
         self.counts = [0] * (len(chosen) + 1)
         self.count = 0
         self.sum = 0.0
@@ -135,6 +139,38 @@ class Histogram:
             self.min = v
         if self.max is None or v > self.max:
             self.max = v
+
+    def observe_batch(self, values) -> None:
+        """``observe`` every value in *values*, in order, in one call.
+
+        The snapshot afterwards is identical to that of the per-value loop,
+        bits of ``sum`` included: the sum is a strict left fold
+        (``np.add.accumulate``, not a pairwise ``np.sum``), buckets use the
+        same ``side="left"`` search as ``bisect_left``, and min/max keep
+        the first of equal extremes, as the strict comparisons in
+        :meth:`observe` do (so ``0.0``/``-0.0`` ties resolve the same way).
+        """
+        v = np.asarray(values, dtype=np.float64)
+        n = v.size
+        if n == 0:
+            return
+        buckets = np.bincount(np.searchsorted(self._edge_array, v),
+                              minlength=len(self.counts))
+        counts = self.counts
+        nonzero = np.flatnonzero(buckets)
+        for i, c in zip(nonzero.tolist(), buckets[nonzero].tolist()):
+            counts[i] += c
+        self.count += n
+        fold = np.empty(n + 1)
+        fold[0] = self.sum
+        fold[1:] = v
+        self.sum = float(np.add.accumulate(fold)[-1])
+        lo = float(v[np.argmin(v)])
+        if self.min is None or lo < self.min:
+            self.min = lo
+        hi = float(v[np.argmax(v)])
+        if self.max is None or hi > self.max:
+            self.max = hi
 
     # -- reading ---------------------------------------------------------------
 

@@ -109,5 +109,14 @@ def session(clock: Optional[Callable[[], float]] = None,
 
 
 def sim_clock(sim) -> Callable[[], float]:
-    """Primary clock for discrete-event runs: the simulator's virtual time."""
-    return lambda: sim.now
+    """Primary clock for discrete-event runs: the simulator's virtual time.
+
+    The returned callable carries the simulator as ``.sim``, so code that
+    batches work across simulated time (the lanes engine) can tell that a
+    session's primary clock is *its* simulator's, not a wall clock.
+    """
+    def clock() -> float:
+        return sim.now
+
+    clock.sim = sim
+    return clock

@@ -26,6 +26,9 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
+from repro.errors import ConfigurationError
 from repro.obs.registry import Registry
 
 #: Span-duration histograms are registered as ``span.<name>`` with edges
@@ -172,6 +175,35 @@ class Tracer:
                 })
             else:
                 self.events_dropped += 1
+
+    def zero_spans(self, name: str, count: int, wall: float = 0.0) -> None:
+        """Record *count* spans of *name* that took no primary-clock time.
+
+        The primary-clock aggregates and the ``span.<name>`` histogram end
+        up exactly as after *count* ``span(name)`` enter/exit pairs under a
+        frozen primary clock — per-packet sections under a simulator clock,
+        recorded in batch.  *wall* is the wall time the whole batch took;
+        it is added to the wall aggregates (and to an open parent span's
+        wall child time) once, as the *count* pairs' wall durations would
+        sum to it.  Per-span events have no batch form, so a tracer that
+        keeps them refuses the call.
+        """
+        if self.keep_events:
+            raise ConfigurationError(
+                "zero_spans keeps no events; use span() on this tracer")
+        if count <= 0:
+            return
+        stats = self._stats.get(name)
+        if stats is None:
+            stats = self._stats[name] = SpanStats()
+        stats.count += count
+        stats.wall_total += wall
+        stats.wall_exclusive += wall
+        if self._stack:
+            self._stack[-1].wall_child_time += wall
+        if self.registry is not None:
+            self.registry.histogram(SPAN_HIST_PREFIX + name).observe_batch(
+                np.zeros(count))
 
     # -- reading ------------------------------------------------------------
 

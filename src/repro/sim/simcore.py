@@ -11,6 +11,10 @@ This module is the user-facing surface of the batched fast path
   every gated counter — the equivalence contract is *exact equality*,
   enforced by ``tests/test_prop_simcore.py`` and the ``simcore`` perf/CI
   scenario;
+* ``observed=True`` runs either path inside a sim-clocked ``obs`` session
+  and adds the session's metrics and span aggregates to the snapshot
+  (:func:`obs_snapshot`), so the lanes' batch emission is held to the
+  same exact-equality contract;
 * :class:`SimCoreRunner` adds the steady-state fast-forward: when the
   controller has been quiescent for a few epochs on a clean, read-only
   rack, whole statistics epochs are advanced with the rate-equilibrium
@@ -21,11 +25,14 @@ This module is the user-facing surface of the batched fast path
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.client.workload import Workload, WorkloadSpec
 from repro.errors import ConfigurationError
 from repro.net.fastpath import FastPathEngine
@@ -139,24 +146,74 @@ def build_rack(config: SimCoreConfig):
     return cluster, client, workload
 
 
-def run_scalar(config: SimCoreConfig) -> Dict:
-    """Reference run: the per-packet event loop, verbatim."""
+def run_scalar(config: SimCoreConfig, observed: bool = False) -> Dict:
+    """Reference run: the per-packet event loop, verbatim.
+
+    *observed* runs it inside a sim-clocked ``obs`` session and adds
+    :func:`obs_snapshot` to the result.
+    """
     cluster, client, workload = build_rack(config)
     trace = DeliveryTrace().attach(cluster.sim)
-    cluster.sim.run_until(cluster.sim.now + config.duration)
-    return counters_snapshot(cluster, client, trace)
+    with observed_session(cluster, observed) as o:
+        cluster.sim.run_until(cluster.sim.now + config.duration)
+    snap = counters_snapshot(cluster, client, trace)
+    if o is not None:
+        snap.update(obs_snapshot(o))
+    return snap
 
 
-def run_batched(config: SimCoreConfig,
-                fast_forward: bool = False) -> Dict:
-    """Lanes-engine run of the same scenario."""
+def run_batched(config: SimCoreConfig, fast_forward: bool = False,
+                observed: bool = False) -> Dict:
+    """Lanes-engine run of the same scenario (*observed* as in
+    :func:`run_scalar`)."""
     cluster, client, workload = build_rack(config)
     trace = DeliveryTrace()
     runner = SimCoreRunner(cluster, client, workload, trace=trace,
                            fast_forward=fast_forward)
-    runner.run(config.duration)
+    with observed_session(cluster, observed) as o:
+        runner.run(config.duration)
     snap = counters_snapshot(cluster, client, trace, engine=runner.engine)
     snap["ff_epochs"] = runner.ff_epochs
+    if o is not None:
+        snap.update(obs_snapshot(o))
+    return snap
+
+
+def observed_session(cluster: Cluster, observed: bool):
+    """Context for a run on *cluster*: a session clocked by its simulator
+    when *observed*, else a null context that yields None."""
+    if not observed:
+        return contextlib.nullcontext()
+    return obs.session(clock=obs.sim_clock(cluster.sim))
+
+
+def obs_snapshot(o: obs.Observability) -> Dict:
+    """A session's output as flat ``obs.*`` snapshot fields.
+
+    Each registry metric becomes ``obs.<name>`` (counters and gauges) or
+    ``obs.<name>.<field>`` (histogram count, sum, min, max and bucket
+    counts); each span name's primary-clock aggregates become
+    ``obs.tracer.<name>.<field>``.  ``obs.registry_sha256`` hashes the
+    JSON-lines export, so equal snapshots mean byte-identical exports.
+    ``fastpath.*`` metrics are engine telemetry and left out, like the
+    ``fastpath.*`` snapshot fields.
+    """
+    snap: Dict = {}
+    for name, metric in o.registry.collect().items():
+        if name.startswith("fastpath."):
+            continue
+        if metric["type"] != "histogram":
+            snap[f"obs.{name}"] = metric["value"]
+            continue
+        for field in ("count", "sum", "min", "max", "counts"):
+            snap[f"obs.{name}.{field}"] = metric[field]
+    for name, agg in o.tracer.summary().items():
+        for field in ("count", "errors", "total", "exclusive"):
+            snap[f"obs.tracer.{name}.{field}"] = agg[field]
+    export = "\n".join(
+        line for line in obs.registry_to_jsonl(o.registry).splitlines()
+        if '"name": "fastpath.' not in line)
+    snap["obs.registry_sha256"] = hashlib.sha256(export.encode()).hexdigest()
     return snap
 
 
@@ -326,9 +383,11 @@ class SimCoreRunner:
     Epochs are the controller's statistics interval.  An epoch is handed to
     the equilibrium model only when *all* of these held:
 
-    * the rack is clean (no fault window, no observers) — enforced both at
-      the decision point and by construction, since a fault opening would
-      have put the engine in scalar mode;
+    * the rack is clean (no fault window) and no ``obs`` session is live
+      (an observed run stays on the lanes, but an equilibrium epoch emits
+      no metrics) — enforced at the decision point, and by construction
+      for faults, since a fault opening would have put the engine in
+      scalar mode;
     * the coherence plane is idle: no server has pending cache updates or
       blocked writes (mixed workloads fast-forward through the
       write-ratio-aware equilibrium; an in-flight update round trip does
@@ -382,7 +441,7 @@ class SimCoreRunner:
 
     def quiescent(self) -> bool:
         """True when the next epoch is eligible for equilibrium handoff."""
-        if self.engine.fault_window_open():
+        if self.engine.fault_window_open() or obs.is_enabled():
             return False
         for srv in self.cluster.servers.values():
             if srv.shim.pending_updates or srv.shim.blocked_writes:

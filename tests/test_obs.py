@@ -129,6 +129,26 @@ def test_tracer_event_buffer_bounded():
     assert tracer.events[0]["name"] == "e"
 
 
+def test_zero_spans_refused_by_an_event_keeping_tracer():
+    tracer = Tracer(clock=FakeClock(), keep_events=True)
+    with pytest.raises(ConfigurationError):
+        tracer.zero_spans("e", 3)
+    assert tracer.summary() == {} and tracer.events == []
+
+
+def test_zero_spans_add_batch_wall_time_once():
+    sim, wall = FakeClock(), FakeClock()
+    tracer = Tracer(clock=sim, wall_clock=wall)
+    with tracer.span("outer") as outer:
+        wall.advance(0.25)
+        tracer.zero_spans("e", 4, wall=0.25)
+    stats = tracer.summary()["e"]
+    assert stats["count"] == 4 and stats["total"] == 0.0
+    assert tracer.wall_totals()["e"] == {"total": 0.25, "exclusive": 0.25}
+    assert outer.wall_child_time == 0.25
+    assert tracer.wall_totals()["outer"] == {"total": 0.25, "exclusive": 0.0}
+
+
 def test_wall_shares_sum_to_one():
     sim = FakeClock()
     wall = FakeClock()

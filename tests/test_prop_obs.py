@@ -1,4 +1,4 @@
-"""Property tests for the streaming histogram (Hypothesis).
+"""Property tests for the streaming histogram and its batch twins (Hypothesis).
 
 The headline property: on random inputs, the histogram's quantile
 estimates stay within bucket-width error of :func:`statistics.quantiles`.
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.obs.export import registry_from_jsonl, registry_to_jsonl
 from repro.obs.metrics import Histogram, exponential_edges, linear_edges
 from repro.obs.registry import Registry
+from repro.obs.span import Tracer
 
 #: fixed-width buckets covering the sampled domain with width 1.
 WIDTH = 1.0
@@ -122,3 +123,81 @@ def test_jsonl_export_round_trips_random_registries(data, count):
     # And the text really is line-delimited JSON.
     for line in text.strip().splitlines():
         json.loads(line)
+
+
+# -- batch emission twins ------------------------------------------------------
+#
+# The lanes engine emits metrics in batch; these twins hold the batch
+# primitives to the per-value calls they stand for, bit for bit.
+
+#: few edges, so values land on edges, below the first and in the overflow.
+TWIN_EDGES = [-1.0, 0.0, 0.5, 2.0]
+
+twin_values = st.one_of(
+    st.sampled_from(TWIN_EDGES + [0.0, -0.0, -5.0, 1e9, 3.0]),
+    st.floats(min_value=-10.0, max_value=10.0,
+              allow_nan=False, allow_infinity=False))
+
+
+def _bits(hist: Histogram) -> str:
+    """The full snapshot as text: keeps float bits (and the sign of zero)
+    that ``==`` would blur."""
+    return json.dumps(hist.snapshot(), sort_keys=True)
+
+
+@given(before=st.lists(twin_values, max_size=20),
+       batches=st.lists(st.lists(twin_values, max_size=100), max_size=4),
+       default_edges=st.booleans())
+@example(before=[], batches=[[]], default_edges=False)
+@example(before=[0.0], batches=[[-0.0, 0.0] * 20], default_edges=False)
+@example(before=[], batches=[[-0.0, 0.0] * 20, [0.0, -0.0] * 20],
+         default_edges=False)
+@example(before=[-0.0], batches=[[0.0] * 40], default_edges=False)
+@example(before=[], batches=[[0.1, 0.2, 0.3, 1e9, 2.0, -1.0] * 20],
+         default_edges=True)
+@settings(max_examples=300)
+def test_observe_batch_equals_observe_loop(before, batches, default_edges):
+    edges = None if default_edges else TWIN_EDGES
+    loop, batch = Histogram("h", edges=edges), Histogram("h", edges=edges)
+    for v in before:
+        loop.observe(v)
+        batch.observe(v)
+    for values in batches:
+        for v in values:
+            loop.observe(v)
+        batch.observe_batch(values)
+        assert _bits(batch) == _bits(loop)
+
+
+def _frozen_tracer() -> Tracer:
+    return Tracer(clock=lambda: 7.25, registry=Registry())
+
+
+def _tracer_bits(tracer: Tracer):
+    stats = {name: (s.count, s.errors, s.total, s.exclusive,
+                    s.wall_total, s.wall_exclusive)
+             for name, s in tracer._stats.items()}
+    return json.dumps(stats, sort_keys=True), \
+        registry_to_jsonl(tracer.registry)
+
+
+@given(counts=st.lists(st.tuples(st.sampled_from(["a", "b"]),
+                                 st.integers(min_value=0, max_value=80)),
+                       max_size=6),
+       parent=st.booleans())
+@settings(max_examples=150)
+def test_zero_spans_equal_frozen_clock_span_pairs(counts, parent):
+    pairs, batch = _frozen_tracer(), _frozen_tracer()
+    outer = [t.span("outer").__enter__() for t in (pairs, batch)] \
+        if parent else []
+    for name, n in counts:
+        for _ in range(n):
+            with pairs.span(name):
+                pass
+        batch.zero_spans(name, n)
+    if parent:
+        assert outer[0].child_time == outer[1].child_time
+        assert outer[0].wall_child_time == outer[1].wall_child_time
+        for span in outer:
+            span.__exit__(None, None, None)
+    assert _tracer_bits(batch) == _tracer_bits(pairs)

@@ -13,7 +13,8 @@ Two layers:
   the diff to name that field and only that field;
 * behavioral sabotage — perturb the lanes engine (never the scalar
   reference) mid-run and require the diff to include the field the defect
-  manifests in.
+  manifests in; for the lanes' batch metric emission, the ``obs.*``
+  fields of the observed differential.
 """
 
 import copy
@@ -24,6 +25,7 @@ import pytest
 
 from repro.core import geometry
 from repro.core.status import CacheStatusModule
+from repro.core.switch import NetCacheSwitch
 from repro.kvstore.store import KVStore
 from repro.net import fastpath
 from repro.net.trace import DeliveryTrace
@@ -333,3 +335,52 @@ class TestMemoSabotage:
         fields = {d.split(":")[0] for d in diffs}
         assert fields and all(re.fullmatch(r"server\d+\.store\.probes", f)
                               for f in fields), diffs
+
+
+class TestObservedSabotage:
+    """Defects in the lanes' batch metric emission must fail the observed
+    differential (``run_*(observed=True)``) in a named ``obs.`` field."""
+
+    def test_per_client_latency_order_flags_the_sum(self, monkeypatch):
+        # Feed each client's latencies to the histogram on its own instead
+        # of in merged delivery order: same values, same buckets, but the
+        # float sum is folded in another order.
+        cfg = tiny(num_clients=2, client_rates=(1.2e5, 8e4), seed=1)
+        scalar = run_scalar(cfg, observed=True)
+        engine = fastpath.FastPathEngine
+        observe = engine._observe_replies
+        orig = engine._client_reply_batch
+
+        def per_client(self, st, seq, latency, hit):
+            answered = orig(self, st, seq, latency, hit)
+            if answered is not None:
+                latency, hit = latency[answered], hit[answered]
+            observe(fastpath._obs.ACTIVE, latency, hit)
+            return answered
+
+        monkeypatch.setattr(engine, "_client_reply_batch", per_client)
+        monkeypatch.setattr(engine, "_observe_replies",
+                            staticmethod(lambda obs, latency, hit: None))
+        bad = run_batched(cfg, observed=True)
+        fields = {d.split(":")[0] for d in diff_snapshots(scalar, bad)}
+        assert fields == {"obs.client.request.sum",
+                          "obs.registry_sha256"}, fields
+
+    def test_dropped_reply_transit_spans_flag_the_span_count(
+            self, monkeypatch):
+        # Server replies crossing the switch are dataplane.process spans
+        # in the per-packet loop; a batch call that forgets them must be
+        # caught in the span aggregates and the span histogram.
+        cfg = tiny()
+        scalar = run_scalar(cfg, observed=True)
+
+        def no_spans(self, count):
+            self.processed += count
+            self.forwarded += count
+
+        monkeypatch.setattr(NetCacheSwitch, "process_reply_batch", no_spans)
+        bad = run_batched(cfg, observed=True)
+        fields = {d.split(":")[0] for d in diff_snapshots(scalar, bad)}
+        assert {"obs.tracer.dataplane.process.count",
+                "obs.span.dataplane.process.count"} <= fields, fields
+        assert all(f.startswith("obs.") for f in fields), fields

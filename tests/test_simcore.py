@@ -5,8 +5,11 @@ in ``tests/test_prop_simcore.py`` and the committed 100k-packet pin in
 ``tests/test_golden_simcore.py``.
 """
 
+import time
+
 import pytest
 
+from repro import obs
 from repro.errors import ConfigurationError
 from repro.net.fastpath import FastPathEngine
 from repro.net.trace import DeliveryTrace
@@ -18,6 +21,8 @@ from repro.sim.simcore import (
     build_rack,
     counters_snapshot,
     diff_snapshots,
+    obs_snapshot,
+    observed_session,
     rack_equilibrium,
     run_batched,
     run_scalar,
@@ -31,21 +36,32 @@ def tiny(**overrides):
     return SimCoreConfig(**defaults)
 
 
-def run_with_script(config, script, batched):
-    """Like run_scalar/run_batched but with a fault script applied to the
-    freshly built rack before the run (identically under both paths)."""
+def run_with_script(config, script, batched, observed=False, timings=None):
+    """Like run_scalar/run_batched but with a fault script (or None)
+    applied to the freshly built rack before the run (identically under
+    both paths).  *timings*, when given, gets the run phase's wall seconds
+    appended."""
     cluster, client, workload = build_rack(config)
     trace = DeliveryTrace()
     if not batched:
         trace.attach(cluster.sim)
-    script(cluster, client)
-    if batched:
-        runner = SimCoreRunner(cluster, client, workload, trace=trace)
-        runner.run(config.duration)
-        return counters_snapshot(cluster, client, trace,
-                                 engine=runner.engine)
-    cluster.sim.run_until(cluster.sim.now + config.duration)
-    return counters_snapshot(cluster, client, trace)
+    if script is not None:
+        script(cluster, client)
+    runner = (SimCoreRunner(cluster, client, workload, trace=trace)
+              if batched else None)
+    with observed_session(cluster, observed) as o:
+        started = time.perf_counter()
+        if batched:
+            runner.run(config.duration)
+        else:
+            cluster.sim.run_until(cluster.sim.now + config.duration)
+        if timings is not None:
+            timings.append(time.perf_counter() - started)
+    snap = counters_snapshot(cluster, client, trace,
+                             engine=runner.engine if batched else None)
+    if o is not None:
+        snap.update(obs_snapshot(o))
+    return snap
 
 
 class TestDifferential:
@@ -330,3 +346,130 @@ class TestCoverage:
             assert engine.coverage() == 0.0
             mirrored = obs.registry.counter("fastpath.fallback.observer")
             assert mirrored.value == engine.fallback_reasons["observer"]
+
+    def _run_observed(self, cfg, **session_kwargs):
+        cluster, client, workload = build_rack(cfg)
+        runner = SimCoreRunner(cluster, client, workload,
+                               trace=DeliveryTrace())
+        with obs.session(clock=obs.sim_clock(cluster.sim),
+                         **session_kwargs) as o:
+            runner.run(cfg.duration)
+        return runner.engine, client, o
+
+    def test_sim_clocked_session_stays_on_lanes(self):
+        engine, client, o = self._run_observed(tiny())
+        assert engine.coverage() == 1.0
+        assert engine.fallback_reasons == {}
+        assert not [n for n in o.registry.names()
+                    if n.startswith("fastpath.")]
+        # And the lanes did emit: one latency per reply, and the read
+        # batches' host time as the dataplane spans' wall time.
+        assert o.client_latency.count == client.received > 0
+        assert o.tracer.wall_totals()["dataplane.process"]["total"] > 0
+
+    def test_session_keeping_events_falls_back(self):
+        # Span events carry per-packet start/end times in time order,
+        # which only the scalar loop produces.
+        engine, _, o = self._run_observed(tiny(duration=0.01),
+                                          keep_events=True)
+        assert engine.fallback_reasons.get("observer", 0) > 0
+        assert engine.coverage() == 0.0
+        assert o.tracer.events
+
+
+def observed_grid():
+    """Racks of the observed differential: every lane the engine emits
+    metrics from, under both write paths and all three layouts."""
+    return {
+        "read_only": tiny(),
+        "mixed_5pct_writes": tiny(write_ratio=0.05, seed=5),
+        "two_clients_retries": tiny(write_ratio=0.05, num_clients=2,
+                                    client_rates=(1.2e5, 8e4),
+                                    retries=True, seed=6),
+        "setassoc": tiny(layout="setassoc"),
+        "orbit": tiny(layout="orbit", value_size=96, num_value_stages=2),
+        # Crosses the 1 s statistics epoch (controller reset round).
+        "epoch_crossing": tiny(write_ratio=0.05, rate=2e4, duration=1.2),
+    }
+
+
+class TestObservedDifferential:
+    """Lanes+obs vs scalar+obs, both in a sim-clocked session: every
+    ``obs.*`` field (registry metrics, span aggregates, and the hash of
+    the JSON-lines export) must match exactly."""
+
+    @pytest.mark.parametrize("name", sorted(observed_grid()))
+    def test_observed_byte_identical(self, name):
+        cfg = observed_grid()[name]
+        scalar = run_scalar(cfg, observed=True)
+        lanes = run_batched(cfg, observed=True)
+        assert lanes["fastpath.coverage"] == 1.0
+        assert lanes["fastpath.fallbacks"] == {}
+        assert diff_snapshots(scalar, lanes) == []
+        # The session saw the whole run.
+        assert scalar["obs.net.delivered"] == scalar["sim.delivered"]
+        assert scalar["obs.tracer.dataplane.process.count"] == \
+            scalar["switch.processed"]
+
+    def test_server_crash_observed_byte_identical(self):
+        # A crashed server does not dirty the rack: its drops happen in
+        # the lanes, and net.dropped must count them as the scalar loop's
+        # node drops do — retransmissions included.
+        cfg = tiny(duration=0.04, retries=True, write_ratio=0.05, seed=8)
+
+        def script(cluster, client):
+            sid = cluster.plan.server_ids[0]
+            ev = cluster.sim.events
+            ev.schedule_at(0.010, cluster.crash_server, sid)
+            ev.schedule_at(0.025, cluster.restart_server, sid)
+
+        scalar = run_with_script(cfg, script, batched=False, observed=True)
+        lanes = run_with_script(cfg, script, batched=True, observed=True)
+        assert lanes["fastpath.fallbacks"] == {}
+        assert scalar["obs.net.dropped"] > 0
+        assert scalar["obs.client.retries"] > 0
+        assert diff_snapshots(scalar, lanes) == []
+
+    def test_cache_update_rtt_is_lane_timed(self):
+        # The shim stamps a cache update's start from the session clock.
+        # Inside a lanes write completion that clock must read the
+        # write's lane time, not the time the lanes are flushed at (which
+        # once made round trips look milliseconds long).
+        cfg = tiny(write_ratio=0.05, seed=5)
+        scalar = run_scalar(cfg, observed=True)
+        lanes = run_batched(cfg, observed=True)
+        assert scalar["obs.shim.cache_update.rtt.count"] > 0
+        for field in ("count", "sum", "min", "max", "counts"):
+            key = f"obs.shim.cache_update.rtt.{field}"
+            assert lanes[key] == scalar[key], key
+
+    def test_two_client_latency_sum_in_delivery_order(self):
+        # Two clients' replies interleave; the latency histogram's float
+        # sum must be folded in merged delivery order, not client by
+        # client (which differs in the last bits).
+        cfg = tiny(num_clients=2, client_rates=(1.2e5, 8e4), seed=1)
+        scalar = run_scalar(cfg, observed=True)
+        lanes = run_batched(cfg, observed=True)
+        assert lanes["obs.client.request.sum"] == \
+            scalar["obs.client.request.sum"]
+        assert diff_snapshots(scalar, lanes) == []
+
+
+@pytest.mark.slow
+def test_million_packet_observed_run_matches_scalar():
+    cfg = SimCoreConfig(duration=1.0)
+    assert cfg.packets == 1_000_000
+    walls = {True: [], False: []}
+    lanes = run_with_script(cfg, None, batched=True, observed=True,
+                            timings=walls[True])
+    assert lanes["fastpath.coverage"] == 1.0
+    assert lanes["fastpath.fallbacks"] == {}
+    assert diff_snapshots(run_scalar(cfg, observed=True), lanes) == []
+    # Obs overhead on the lanes: best of two alternating runs each.
+    for observed in (False, True, False):
+        run_with_script(cfg, None, batched=True, observed=observed,
+                        timings=walls[observed])
+    wall_obs, wall_plain = min(walls[True]), min(walls[False])
+    print(f"1M-packet lanes run: {wall_plain:.2f} s plain, "
+          f"{wall_obs:.2f} s observed; lanes+obs / lanes = "
+          f"{wall_obs / wall_plain:.3f}")
