@@ -1,10 +1,14 @@
-"""Simulator-core harness: scalar vs batched runs, equivalence, fast-forward.
+"""Simulator-core harness: the rack spec, scalar vs batched runs, equivalence.
 
 This module is the user-facing surface of the batched fast path
 (:mod:`repro.net.fastpath`):
 
-* :func:`build_rack` assembles one canonical read-benchmark rack the same
-  way under both paths (same seeds, same preload, same controller);
+* :class:`RackSpec` describes one rack and its workload; it maps itself
+  onto :class:`~repro.sim.cluster.ClusterConfig` and
+  :class:`~repro.client.workload.WorkloadSpec`, and the perf harness
+  (:mod:`repro.tools.perf`) describes every scenario's rack with it;
+* :func:`build_rack` assembles the rack the same way under both paths
+  (same seeds, same preload, same controller);
 * :func:`run_scalar` / :func:`run_batched` execute it with the per-packet
   event loop (the executable specification) or the lanes engine;
 * :func:`counters_snapshot` / :func:`diff_snapshots` capture and compare
@@ -14,13 +18,7 @@ This module is the user-facing surface of the batched fast path
 * ``observed=True`` runs either path inside a sim-clocked ``obs`` session
   and adds the session's metrics and span aggregates to the snapshot
   (:func:`obs_snapshot`), so the lanes' batch emission is held to the
-  same exact-equality contract;
-* :class:`SimCoreRunner` adds the steady-state fast-forward: when the
-  controller has been quiescent for a few epochs on a clean, read-only
-  rack, whole statistics epochs are advanced with the rate-equilibrium
-  model (:mod:`repro.sim.ratesim`) instead of per-packet simulation,
-  re-entering event mode at the next epoch boundary.  Fast-forwarded runs
-  are *approximate* (their snapshots are marked, never byte-gated).
+  same exact-equality contract.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ import dataclasses
 import hashlib
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro import obs
 from repro.client.workload import Workload, WorkloadSpec
 from repro.errors import ConfigurationError
@@ -39,23 +35,17 @@ from repro.net.fastpath import FastPathEngine
 from repro.net.trace import DeliveryTrace
 from repro.reliability.retry import RetryPolicy
 from repro.sim.cluster import Cluster, ClusterConfig
-from repro.sim.ratesim import (
-    CacheContentsMask,
-    RateSimConfig,
-    RateSimResult,
-    cached_write_fraction,
-    partition_vector_for_servers,
-    simulate,
-)
 
 
 @dataclasses.dataclass(frozen=True)
-class SimCoreConfig:
-    """One simulator-core benchmark scenario (shared by both paths)."""
+class RackSpec:
+    """One rack and its workload, shared by both simulator paths and by
+    every perf scenario."""
 
     num_servers: int = 8
     num_keys: int = 5_000
     cache_items: int = 64
+    #: lookup-table entries; the switch gets as many value slots.
     lookup_entries: int = 1_024
     skew: float = 0.99
     write_ratio: float = 0.0
@@ -63,18 +53,22 @@ class SimCoreConfig:
     duration: float = 0.1
     warm: bool = True
     #: heavy-hitter report threshold; a high value models the settled
-    #: regime where the warm cache already holds the hot set (the
-    #: fast-forwardable steady state).
+    #: regime where the warm cache already holds the hot set.
     hot_threshold: int = 8
-    #: statistics epoch; also the fast-forward granularity.
+    #: statistics epoch: the controller's report and reset interval.
     stats_interval: float = 1.0
+    #: controller cache-update round interval.
+    controller_update_interval: float = 0.01
+    #: per-link loss probability (applied to every cable in the rack).
+    link_loss: float = 0.0
     seed: int = 0
     #: concurrent open-loop clients; each beyond the first draws from a
     #: forked (reseeded) query stream over the same popularity map.
     num_clients: int = 1
     #: per-client rates overriding ``rate`` (length must be num_clients).
     client_rates: Optional[Tuple[float, ...]] = None
-    #: give every client the default retry policy (seeded from ``seed``).
+    #: give every client the default retry policy (seeded from ``seed``);
+    #: the perf cluster runner also makes its client's writes idempotent.
     retries: bool = False
     #: cache geometry for the switch ("paper", "setassoc", "orbit").
     #: All three layouts run natively under the lanes engine through
@@ -99,6 +93,10 @@ class SimCoreConfig:
                 "client_rates must have one rate per client")
 
     @property
+    def value_slots(self) -> int:
+        return self.lookup_entries
+
+    @property
     def rates(self) -> Tuple[float, ...]:
         return self.client_rates or (self.rate,) * self.num_clients
 
@@ -106,47 +104,59 @@ class SimCoreConfig:
     def packets(self) -> int:
         return int(sum(self.rates) * self.duration)
 
+    def cluster_config(self) -> ClusterConfig:
+        """The rack's :class:`~repro.sim.cluster.ClusterConfig`."""
+        return ClusterConfig(
+            num_servers=self.num_servers,
+            cache_items=self.cache_items,
+            lookup_entries=self.lookup_entries,
+            value_slots=self.value_slots,
+            hot_threshold=self.hot_threshold,
+            controller_update_interval=self.controller_update_interval,
+            stats_interval=self.stats_interval,
+            link_loss=self.link_loss,
+            seed=self.seed,
+            layout=self.layout,
+            num_value_stages=self.num_value_stages,
+            client_retry_policy=(RetryPolicy(seed=self.seed)
+                                 if self.retries else None),
+        )
 
-def build_rack(config: SimCoreConfig):
+    def workload_spec(self) -> WorkloadSpec:
+        """The rack's :class:`~repro.client.workload.WorkloadSpec`."""
+        return WorkloadSpec(
+            num_keys=self.num_keys, read_skew=self.skew,
+            write_ratio=self.write_ratio, value_size=self.value_size,
+            seed=self.seed)
+
+
+#: the name the benchmark and the simulator-core tests build racks with.
+SimCoreConfig = RackSpec
+
+
+def build_rack(config: RackSpec):
     """Assemble the scenario rack; returns ``(cluster, client, workload)``.
 
     Both paths call this with the same config, so every seed-derived
     decision (partitioning, sampler, workload stream) is shared; only the
     driving loop differs.
     """
-    cluster = Cluster(ClusterConfig(
-        num_servers=config.num_servers,
-        cache_items=config.cache_items,
-        lookup_entries=config.lookup_entries,
-        value_slots=config.lookup_entries,
-        hot_threshold=config.hot_threshold,
-        stats_interval=config.stats_interval,
-        seed=config.seed,
-        layout=config.layout,
-        num_value_stages=config.num_value_stages,
-    ))
-    workload = Workload(WorkloadSpec(
-        num_keys=config.num_keys, read_skew=config.skew,
-        write_ratio=config.write_ratio, value_size=config.value_size,
-        seed=config.seed,
-    ))
+    cluster = Cluster(config.cluster_config())
+    workload = Workload(config.workload_spec())
     cluster.load_workload_data(workload)
     if config.warm:
         cluster.warm_cache(workload, config.cache_items)
-    policy = RetryPolicy(seed=config.seed) if config.retries else None
     rates = config.rates
-    client = cluster.add_workload_client(workload, rate=rates[0],
-                                         retry_policy=policy)
+    client = cluster.add_workload_client(workload, rate=rates[0])
     for i in range(1, config.num_clients):
         # Forked stream: same popularity map (hot set agreement), own RNG
         # streams — the 7919 stride keeps sibling seeds well separated.
-        cluster.add_workload_client(workload.fork(7919 * i), rate=rates[i],
-                                    retry_policy=policy)
+        cluster.add_workload_client(workload.fork(7919 * i), rate=rates[i])
     cluster.start_controller()
     return cluster, client, workload
 
 
-def run_scalar(config: SimCoreConfig, observed: bool = False) -> Dict:
+def run_scalar(config: RackSpec, observed: bool = False) -> Dict:
     """Reference run: the per-packet event loop, verbatim.
 
     *observed* runs it inside a sim-clocked ``obs`` session and adds
@@ -162,18 +172,15 @@ def run_scalar(config: SimCoreConfig, observed: bool = False) -> Dict:
     return snap
 
 
-def run_batched(config: SimCoreConfig, fast_forward: bool = False,
-                observed: bool = False) -> Dict:
+def run_batched(config: RackSpec, observed: bool = False) -> Dict:
     """Lanes-engine run of the same scenario (*observed* as in
     :func:`run_scalar`)."""
     cluster, client, workload = build_rack(config)
     trace = DeliveryTrace()
-    runner = SimCoreRunner(cluster, client, workload, trace=trace,
-                           fast_forward=fast_forward)
+    runner = SimCoreRunner(cluster, client, workload, trace=trace)
     with observed_session(cluster, observed) as o:
         runner.run(config.duration)
     snap = counters_snapshot(cluster, client, trace, engine=runner.engine)
-    snap["ff_epochs"] = runner.ff_epochs
     if o is not None:
         snap.update(obs_snapshot(o))
     return snap
@@ -331,10 +338,10 @@ def diff_snapshots(a: Dict, b: Dict) -> List[str]:
     """Human-readable list of unequal fields (empty = byte-identical)."""
     out = []
     for key in sorted(set(a) | set(b)):
-        # Runner/engine metadata, batched-only: fast-forward epoch count
-        # and lane-coverage telemetry are about *how* a run executed, not
-        # what it computed, so they never participate in equivalence.
-        if key == "ff_epochs" or key.startswith("fastpath."):
+        # Engine metadata, batched-only: lane-coverage telemetry is about
+        # *how* a run executed, not what it computed, so it never
+        # participates in equivalence.
+        if key.startswith("fastpath."):
             continue
         va, vb = a.get(key), b.get(key)
         if key.endswith(".latencies"):
@@ -352,229 +359,19 @@ def diff_snapshots(a: Dict, b: Dict) -> List[str]:
     return out
 
 
-# -- steady-state fast-forward ---------------------------------------------------
-
-
-def rack_equilibrium(cluster: Cluster, workload: Workload,
-                     mask: Optional[np.ndarray] = None) -> RateSimResult:
-    """Rate-equilibrium operating point of *cluster* under *workload*.
-
-    Uses the cluster's *actual* server-id partitioning (the internal
-    ``partition_vector`` hashes against ``range(n)`` and assigns items to
-    different owners).
-    """
-    spec = workload.spec
-    part = partition_vector_for_servers(
-        spec.num_keys, tuple(cluster.plan.server_ids))
-    if mask is None:
-        mask = CacheContentsMask(cluster.switch, workload.keyspace).mask()
-    config = RateSimConfig(num_servers=cluster.config.num_servers,
-                           server_rate=cluster.config.server_rate,
-                           write_ratio=spec.write_ratio)
-    write_probs = (workload.write_item_probs()
-                   if spec.write_ratio > 0 else None)
-    return simulate(workload.read_item_probs(), mask, config,
-                    write_probs=write_probs, part_vector=part)
-
-
 class SimCoreRunner:
-    """Drives a rack through the lanes engine with optional fast-forward.
+    """Drives a rack built by :func:`build_rack` through the lanes engine.
 
-    Epochs are the controller's statistics interval.  An epoch is handed to
-    the equilibrium model only when *all* of these held:
-
-    * the rack is clean (no fault window) and no ``obs`` session is live
-      (an observed run stays on the lanes, but an equilibrium epoch emits
-      no metrics) — enforced at the decision point, and by construction
-      for faults, since a fault opening would have put the engine in
-      scalar mode;
-    * the coherence plane is idle: no server has pending cache updates or
-      blocked writes (mixed workloads fast-forward through the
-      write-ratio-aware equilibrium; an in-flight update round trip does
-      not);
-    * the controller is quiet: no pending hot-key reports and the cache
-      contents unchanged for ``quiescent_epochs`` consecutive epochs.
-
-    A fast-forwarded epoch synthesizes the aggregate counters from the
-    equilibrium (per-server load split by the real partition vector),
-    feeds a sampled key stream through the *real* statistics machinery
-    (exactly like the hybrid emulation), and still runs the control-plane
-    events, so the controller can end quiescence and drop the runner back
-    into event mode at the next boundary.  Latency samples are not
-    synthesized — fast-forwarded runs are throughput-accurate, not
-    latency-complete, and their snapshots are not byte-comparable.
+    :func:`run_batched` and the benchmark in ``perfbench/`` call it; both
+    read ``engine`` afterwards for coverage and in-flight counts.
+    *workload* is the rack's workload, as :func:`build_rack` returns it.
     """
 
     def __init__(self, cluster: Cluster, client, workload: Workload,
-                 trace: Optional[DeliveryTrace] = None,
-                 fast_forward: bool = False,
-                 quiescent_epochs: int = 2,
-                 samples_per_epoch: int = 2_000):
+                 trace: Optional[DeliveryTrace] = None):
         self.cluster = cluster
-        self.client = client
-        self.workload = workload
         self.engine = FastPathEngine(cluster, client, trace=trace)
-        self.fast_forward = fast_forward
-        self.quiescent_epochs = quiescent_epochs
-        self.samples_per_epoch = samples_per_epoch
-        self.epoch = cluster.config.stats_interval
-        self.ff_epochs = 0
-        self._mask = CacheContentsMask(cluster.switch, workload.keyspace)
-        self._version_history: List[int] = []
-        self._part = None
 
     def run(self, duration: float) -> None:
-        sim = self.cluster.sim
-        t_end = sim.now + duration
-        if not self.fast_forward:
-            self.engine.run_until(t_end)
-            return
-        while sim.now < t_end:
-            k = int(np.floor(sim.now / self.epoch)) + 1
-            boundary = min(t_end, k * self.epoch)
-            if (boundary - sim.now >= self.epoch * 0.999
-                    and self.quiescent()):
-                self._fast_forward_epoch(boundary)
-            else:
-                self.engine.run_until(boundary)
-            self._version_history.append(self._mask.version)
-
-    def quiescent(self) -> bool:
-        """True when the next epoch is eligible for equilibrium handoff."""
-        if self.engine.fault_window_open() or obs.is_enabled():
-            return False
-        for srv in self.cluster.servers.values():
-            if srv.shim.pending_updates or srv.shim.blocked_writes:
-                return False
-        ctl = self.cluster.controller
-        if ctl is not None and ctl.pending_reports() > 0:
-            return False
-        hist = self._version_history
-        k = self.quiescent_epochs
-        if len(hist) < k:
-            return False
-        recent = hist[-k:] + [self._mask.version]
-        return len(set(recent)) == 1
-
-    # -- one equilibrium epoch ----------------------------------------------------
-
-    def _fast_forward_epoch(self, t_to: float) -> None:
-        cluster, client = self.cluster, self.client
-        sim = cluster.sim
-        spec = self.workload.spec
-        if self._part is None:
-            self._part = partition_vector_for_servers(
-                spec.num_keys, tuple(cluster.plan.server_ids))
-        # Complete the in-flight pipeline before jumping the clock so no
-        # lane entry is left carrying a pre-jump timestamp.
-        self.engine.drain_lanes()
-        eq = rack_equilibrium(cluster, self.workload, mask=self._mask.mask())
-
-        # The open-loop clients are below saturation or they aren't;
-        # either way the delivered fraction is the equilibrium's.
-        total_rate = sum(st.client.rate for st in self.engine._states)
-        n = self.engine.sends_in_window(t_to)
-        scale = min(1.0, eq.throughput / total_rate) if n else 1.0
-        w = spec.write_ratio
-        nw = int(round(n * w))
-        nr = n - nw
-        reads = int(round(nr * scale))
-        writes = int(round(nw * scale))
-        # eq.hit_ratio is hits over *all* served queries (writes included),
-        # so it scales the whole delivered count; the hits themselves are
-        # still reads.
-        hits = int(round((reads + writes) * eq.hit_ratio))
-        misses = reads - hits
-        write_probs = self.workload.write_item_probs() if writes else None
-        cached_w = int(round(writes * cached_write_fraction(
-            write_probs, self._mask.mask()))) if writes else 0
-        plain_w = writes - cached_w
-        delivered = reads + writes
-
-        # Per-client attribution: each client gets its rate-proportional
-        # share (the remainder lands on client 0).
-        acc_n = acc_d = acc_h = 0
-        states = self.engine._states
-        for st in reversed(states):
-            if st is states[0]:
-                n_i, d_i, h_i = n - acc_n, delivered - acc_d, hits - acc_h
-            else:
-                frac = st.client.rate / total_rate
-                n_i = int(round(n * frac))
-                d_i = int(round(delivered * frac))
-                h_i = int(round(hits * frac))
-                acc_n += n_i
-                acc_d += d_i
-                acc_h += h_i
-            cl = st.client
-            cl.sent += n_i
-            cl._interval_sent += n_i
-            cl.received += d_i
-            cl._interval_received += d_i
-            cl.cache_hits += h_i
-        # Hop counts per query class: a cache hit bounces at the switch
-        # (2 deliveries), a miss takes the full round trip (4), an
-        # uncached write likewise (4), a cached write adds the
-        # invalidation's update + ack legs (6).
-        sim.delivered += hits * 2 + misses * 4 + plain_w * 4 + cached_w * 6
-        sim.lost += n - delivered
-        switch = cluster.switch
-        # Query + server reply transit the switch; a cached write's update
-        # is processed (its ack is generated in-switch, not processed).
-        switch.processed += delivered * 2 - hits + cached_w
-        switch.forwarded += delivered * 2 - hits + cached_w
-        dp = switch.dataplane
-        dp.cache_hits += hits
-        dp.cache_misses += misses
-        dp.writes_seen += writes
-        dp.invalidations += cached_w
-        dp.updates_received += cached_w
-
-        # Spread misses over servers with the equilibrium's per-server
-        # load; writes by each owner's share of the write distribution.
-        sids = cluster.plan.server_ids
-        load = eq.per_server_load
-        total = load.sum()
-        if misses and total > 0:
-            share = np.floor(load / total * misses).astype(int)
-            share[int(np.argmax(load))] += misses - int(share.sum())
-            for idx, sid in enumerate(sids):
-                srv = cluster.servers[sid]
-                k = int(share[idx])
-                srv.received += k
-                srv.processed += k
-                srv.store.gets += k
-        if writes:
-            wload = np.array([float(write_probs[self._part == idx].sum())
-                              for idx in range(len(sids))])
-            wtotal = wload.sum()
-            if wtotal > 0:
-                wshare = np.floor(wload / wtotal * writes).astype(int)
-                wshare[int(np.argmax(wload))] += writes - int(wshare.sum())
-                for idx, sid in enumerate(sids):
-                    srv = cluster.servers[sid]
-                    k = int(wshare[idx])
-                    srv.received += k
-                    srv.processed += k
-                    srv.store.puts += k
-
-        # Real statistics + reporting, as in the hybrid emulation: the
-        # controller keeps seeing a faithful sampled stream, so it can end
-        # the quiescent phase and pull us back into event mode.
-        count = self.samples_per_epoch
-        ranks = self.workload._read_gen.sample(count)
-        items = self.workload.popularity.items_at(ranks)
-        keys = self.workload.keyspace.keys(items)
-        report = None
-        if cluster.controller is not None:
-            report = cluster.controller.report_hot_key
-        for hot in dp.observe_reads(keys):
-            if report is not None:
-                report(hot)
-
-        # Skip the per-send event work: advance every client's send clock
-        # analytically and let the control-plane events run the epoch out.
-        self.engine.advance_send_clock(t_to)
-        self.ff_epochs += 1
-        sim.events.run_until(t_to)
-        self.engine.note_time_jump()
+        """Advance the rack *duration* simulated seconds."""
+        self.engine.run_until(self.cluster.sim.now + duration)

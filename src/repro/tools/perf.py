@@ -14,22 +14,26 @@ byte-identically (tested in ``tests/test_perf_cli.py``).  Wall-clock
 readings — elapsed time, events/second, per-component time shares — live
 under the ``wall`` key, which comparisons and determinism checks ignore.
 
-Scenarios come in three kinds.  ``kind="cluster"`` runs the discrete-event
+Scenarios come in five kinds, one :data:`KINDS` row each (runner,
+renderer, guarded metrics).  ``kind="cluster"`` runs the discrete-event
 rack.  ``kind="microbench"`` (the ``hotpath`` scenario) drives the data
 plane's statistics hot path directly — batched ``observe_reads`` over a
 Zipf key stream — and races it against the retained scalar reference
 implementation (:mod:`repro.sketch.reference`) on the same stream,
 requiring bit-identical reports.  ``kind="simcore"`` (the ``simcore``
-scenario) runs one whole rack scenario under *both* simulator paths — the
-batched lanes engine (:mod:`repro.net.fastpath`) and the scalar event
+scenarios) runs one whole rack scenario under *both* simulator paths —
+the batched lanes engine (:mod:`repro.net.fastpath`) and the scalar event
 loop — and requires every gated counter, per-key register, and the
-delivery-trace digest to match byte-for-byte.  ``kind="georace"`` (the
-``geometry10m`` scenario) repeats that dual-path race once per non-paper
-cache geometry at full scale, additionally gating the engine's fast-path
-coverage and its attributed fallback counters so a geometry that silently
-falls back to the scalar loop fails the compare.  Deterministic counters
-of every kind are gated with exact equality; measured speedups land in
-the ``wall`` section (see docs/PERFORMANCE.md).
+delivery-trace digest to match byte-for-byte.  ``kind="tournament"``
+sweeps the cache-geometry grid (:mod:`repro.tools.tournament`).
+``kind="georace"`` (the ``geometry10m`` scenario) repeats the dual-path
+race once per non-paper cache geometry at full scale, additionally gating
+the engine's fast-path coverage and its attributed fallback counters so a
+geometry that silently falls back to the scalar loop fails the compare.
+Every scenario describes its rack with one
+:class:`~repro.sim.simcore.RackSpec`.  Deterministic counters of every
+kind but ``cluster`` are gated with exact equality; measured speedups
+land in the ``wall`` section (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -38,13 +42,13 @@ import dataclasses
 import json
 import platform
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.client.workload import Workload, WorkloadSpec
+from repro.client.workload import Workload
 from repro.errors import ConfigurationError
-from repro.reliability.retry import RetryPolicy
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
+from repro.sim.simcore import RackSpec
 
 #: bump when the snapshot layout changes incompatibly.
 SNAPSHOT_SCHEMA = 1
@@ -59,102 +63,81 @@ class PerfScenario:
 
     name: str
     description: str
-    num_servers: int = 8
-    num_keys: int = 5_000
-    cache_items: int = 64
-    lookup_entries: int = 1024
-    value_slots: int = 1024
-    skew: float = 0.99
-    write_ratio: float = 0.0
-    value_size: int = 128
-    rate: float = 40_000.0
-    duration: float = 1.0
-    hot_threshold: int = 8
-    controller_update_interval: float = 0.01
-    stats_interval: float = 0.5
-    #: per-link loss probability (applied to every cable in the rack).
-    link_loss: float = 0.0
-    #: enable the client retry layer (idempotent writes, backoff+jitter).
-    client_retries: bool = False
-    #: simcore knobs: open-loop client count, per-client rates (overrides
-    #: ``rate`` when set), and the seeded retry policy on every client.
-    num_clients: int = 1
-    client_rates: Optional[Tuple[float, ...]] = None
-    retries: bool = False
-    #: cache geometry for simcore scenarios ("paper", "setassoc", "orbit")
-    #: and value stages for the switch (fewer stages narrow an Orbit
-    #: segment, forcing multi-pass serves inside the wire format's cap).
-    layout: str = "paper"
-    num_value_stages: int = 8
-    #: "cluster" = discrete-event rack; "microbench" = direct statistics
-    #: hot-path loop (no simulator); "simcore" = dual-path race;
-    #: "tournament" = the cache-geometry grid sweep; "georace" = the
-    #: simcore dual-path race repeated per non-paper geometry.  For
-    #: microbenches ``duration`` scales the packet budget instead of
-    #: simulated seconds.
+    #: the rack and its workload; its ``seed`` is replaced by the run's.
+    rack: RackSpec
+    #: a :data:`KINDS` key.  For microbenches ``rack.duration`` scales
+    #: the packet budget instead of simulated seconds.
     kind: str = "cluster"
-    #: microbench/tournament knobs (ignored by cluster scenarios; for the
+    #: microbench/tournament knobs (ignored by the other kinds; for the
     #: tournament ``packets`` is the query budget per grid cell).
     packets: int = 0
     batch_size: int = 0
     reset_every: int = 0
 
 
+def _cluster_rack(**overrides) -> RackSpec:
+    """A cluster-sized rack: 40k QPS for 1 s, 0.5 s statistics epochs."""
+    return RackSpec(**{"rate": 40_000.0, "duration": 1.0,
+                       "stats_interval": 0.5, **overrides})
+
+
 SCENARIOS: Dict[str, PerfScenario] = {
     s.name: s for s in (
         PerfScenario(
-            "zipf99", "paper workload: Zipf 0.99 reads, warm 64-item cache"),
+            "zipf99", "paper workload: Zipf 0.99 reads, warm 64-item cache",
+            rack=_cluster_rack()),
         PerfScenario(
             "uniform", "uniform reads (cache can't help much)",
-            skew=0.0, duration=0.5),
+            rack=_cluster_rack(skew=0.0, duration=0.5)),
         PerfScenario(
             "writeheavy", "Zipf 0.99 with 30% writes (coherence path hot)",
-            write_ratio=0.3, duration=0.5),
+            rack=_cluster_rack(write_ratio=0.3, duration=0.5)),
         PerfScenario(
             "smoke", "tiny CI scenario: seconds, not minutes",
-            num_servers=4, num_keys=500, cache_items=16,
-            lookup_entries=256, value_slots=256,
-            rate=10_000.0, duration=0.2),
+            rack=_cluster_rack(num_servers=4, num_keys=500, cache_items=16,
+                               lookup_entries=256, rate=10_000.0,
+                               duration=0.2)),
         PerfScenario(
             "lossy10", "10% per-link loss, client retries on (goodput "
             "must stay within 10% of lossless)",
-            link_loss=0.10, client_retries=True,
-            write_ratio=0.1, duration=0.5),
+            rack=_cluster_rack(link_loss=0.10, retries=True,
+                               write_ratio=0.1, duration=0.5)),
         PerfScenario(
             "hotpath", "statistics hot-path microbenchmark: batched "
             "observe_reads raced against the scalar reference",
-            kind="microbench", num_keys=20_000, cache_items=1_000,
-            lookup_entries=4_096, value_slots=4_096,
-            packets=120_000, batch_size=4_000, reset_every=32_000),
+            kind="microbench", packets=120_000, batch_size=4_000,
+            reset_every=32_000,
+            rack=_cluster_rack(num_keys=20_000, cache_items=1_000,
+                               lookup_entries=4_096)),
         PerfScenario(
             "simcore", "10M-packet zipf99 rack under the batched lanes "
             "engine, raced against the scalar event loop (byte-identical "
             "counters required)",
-            kind="simcore", rate=1_000_000.0, duration=10.0,
-            stats_interval=1.0),
+            kind="simcore", rack=RackSpec(duration=10.0)),
         PerfScenario(
             "simcore_mixed", "10M-packet mixed rack: two open-loop "
             "clients (600k + 400k QPS), 5% writes through the real write "
             "pipeline, retry policy armed — the widened fast-path "
             "contract raced end to end against the scalar loop",
-            kind="simcore", write_ratio=0.05, num_clients=2,
-            client_rates=(600_000.0, 400_000.0), retries=True,
-            duration=10.0, stats_interval=1.0),
+            kind="simcore",
+            rack=RackSpec(write_ratio=0.05, num_clients=2,
+                          client_rates=(600_000.0, 400_000.0), retries=True,
+                          duration=10.0)),
         PerfScenario(
             "tournament", "cache-geometry tournament: {paper, setassoc, "
             "orbit} x zipf skew x value size x write ratio on identical "
             "seeded streams (exact-replay grid, gated by "
             "BENCH_geometry.json)",
-            kind="tournament", num_keys=2_000, cache_items=64,
-            lookup_entries=256, value_slots=256, packets=20_000),
+            kind="tournament", packets=20_000,
+            rack=_cluster_rack(num_keys=2_000, cache_items=64,
+                               lookup_entries=256)),
         PerfScenario(
             "geometry10m", "geometry race: setassoc and orbit each run a "
             "10M-packet rack natively under the lanes engine, raced "
             "against the scalar event loop (byte-identical counters and "
             "full fast-path coverage required; CI asserts >=3x wall "
             "speedup per layout)",
-            kind="georace", rate=1_000_000.0, duration=10.0,
-            stats_interval=1.0),
+            kind="georace", rack=RackSpec(duration=10.0)),
     )
 }
 
@@ -179,43 +162,52 @@ def run_scenario(name: str, seed: int = 0,
         raise ConfigurationError(
             f"unknown perf scenario {name!r}; choose from "
             f"{', '.join(sorted(SCENARIOS))}")
+    kind = KINDS[scenario.kind]
+    if metrics_out and not kind.metrics_out:
+        accepting = [k for k, v in KINDS.items() if v.metrics_out]
+        raise ConfigurationError(
+            f"--metrics-out applies only to {' and '.join(accepting)} "
+            f"scenarios, not {scenario.kind}")
+    rack = dataclasses.replace(scenario.rack, seed=seed)
     if duration is not None:
-        scenario = dataclasses.replace(scenario, duration=duration)
-    if scenario.kind == "microbench":
-        return _run_microbench(scenario, seed, metrics_out)
-    if scenario.kind == "simcore":
-        return _run_simcore(scenario, seed, metrics_out)
-    if scenario.kind == "tournament":
-        return _run_tournament(scenario, seed, metrics_out)
-    if scenario.kind == "georace":
-        return _run_georace(scenario, seed, metrics_out)
+        rack = dataclasses.replace(rack, duration=duration)
+    return kind.run(dataclasses.replace(scenario, rack=rack), metrics_out)
 
-    workload = Workload(WorkloadSpec(
-        num_keys=scenario.num_keys, read_skew=scenario.skew,
-        write_ratio=scenario.write_ratio, seed=seed,
-        value_size=scenario.value_size))
-    retry_policy = RetryPolicy(seed=seed) if scenario.client_retries else None
-    cluster = Cluster(ClusterConfig(
-        num_servers=scenario.num_servers, cache_items=scenario.cache_items,
-        lookup_entries=scenario.lookup_entries,
-        value_slots=scenario.value_slots,
-        hot_threshold=scenario.hot_threshold,
-        controller_update_interval=scenario.controller_update_interval,
-        stats_interval=scenario.stats_interval, seed=seed,
-        link_loss=scenario.link_loss,
-        client_retry_policy=retry_policy))
+
+def _snapshot(scenario: PerfScenario, results: Dict, wall: Dict) -> Dict:
+    """The snapshot envelope every kind shares around its own sections."""
+    return {
+        "schema": SNAPSHOT_SCHEMA,
+        "scenario": scenario.name,
+        "seed": scenario.rack.seed,
+        "config": dataclasses.asdict(scenario),
+        "results": results,
+        "wall": {
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            **wall,
+            "python": platform.python_version(),
+        },
+    }
+
+
+def _run_cluster(scenario: PerfScenario,
+                 metrics_out: Optional[str]) -> Dict:
+    """The discrete-event rack with the observability layer on."""
+    spec = scenario.rack
+    workload = Workload(spec.workload_spec())
+    cluster = Cluster(spec.cluster_config())
     cluster.load_workload_data(workload)
 
     wall_start = time.perf_counter()
     with obs.session(clock=obs.sim_clock(cluster.sim)) as o:
-        cluster.warm_cache(workload, scenario.cache_items)
+        if spec.warm:
+            cluster.warm_cache(workload, spec.cache_items)
         client = cluster.add_workload_client(
-            workload, rate=scenario.rate,
-            versioned_writes=scenario.client_retries)
+            workload, rate=spec.rate, versioned_writes=spec.retries)
         cluster.start_controller()
-        cluster.run(scenario.duration)
+        cluster.run(spec.duration)
         client.stop()
-        snapshot = _build_snapshot(scenario, seed, cluster, client, o,
+        snapshot = _build_snapshot(scenario, cluster, client, o,
                                    elapsed=time.perf_counter() - wall_start)
         if metrics_out:
             with open(metrics_out, "w") as fh:
@@ -234,72 +226,66 @@ LATENCY_COMPONENTS = (
 )
 
 
-def _build_snapshot(scenario: PerfScenario, seed: int, cluster: Cluster,
-                    client, o: "obs.Observability", elapsed: float) -> Dict:
+def _build_snapshot(scenario: PerfScenario, cluster: Cluster, client,
+                    o: "obs.Observability", elapsed: float) -> Dict:
     dataplane = cluster.switch.dataplane
     controller = cluster.controller
     sim = cluster.sim
     received = client.received
     latency = obs.latency_summary(
         o.registry, [n for n in LATENCY_COMPONENTS if n in o.registry])
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "scenario": scenario.name,
-        "seed": seed,
-        "config": dataclasses.asdict(scenario),
-        "results": {
-            "queries_sent": client.sent,
-            "queries_received": received,
-            "delivery_ratio": received / client.sent if client.sent else 0.0,
-            "throughput_qps": received / scenario.duration,
-            "cache_hit_ratio": (client.cache_hits / received
-                                if received else 0.0),
-            "switch": {
-                "cache_hits": dataplane.cache_hits,
-                "cache_misses": dataplane.cache_misses,
-                "hit_ratio": dataplane.hit_ratio(),
-                "invalidations": dataplane.invalidations,
-                "updates_received": dataplane.updates_received,
-                "cache_size": dataplane.cache_size(),
-            },
-            "controller": {
-                "rounds": controller.rounds,
-                "reports_received": controller.reports_received,
-                "insertions": controller.insertions,
-                "evictions": controller.evictions,
-                "rejections": controller.rejections,
-            },
-            "net": {
-                "delivered": o.net_delivered.value,
-                "dropped": o.net_dropped.value,
-            },
-            "reliability": {
-                "client_retries": client.retransmissions,
-                "client_timeouts": client.timeouts,
-                "dedup_hits": sum(s.shim.dedup.hits
-                                  for s in cluster.servers.values()),
-                "degraded_entries": sum(s.shim.degraded_entries
-                                        for s in cluster.servers.values()),
-            },
-            "latency": latency,
-            "components": o.tracer.summary(),
+    return _snapshot(scenario, {
+        "queries_sent": client.sent,
+        "queries_received": received,
+        "delivery_ratio": received / client.sent if client.sent else 0.0,
+        "throughput_qps": received / scenario.rack.duration,
+        "cache_hit_ratio": (client.cache_hits / received
+                            if received else 0.0),
+        "switch": {
+            "cache_hits": dataplane.cache_hits,
+            "cache_misses": dataplane.cache_misses,
+            "hit_ratio": dataplane.hit_ratio(),
+            "invalidations": dataplane.invalidations,
+            "updates_received": dataplane.updates_received,
+            "cache_size": dataplane.cache_size(),
         },
-        "wall": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "elapsed_seconds": elapsed,
-            "events_per_second": (sim.delivered / elapsed
-                                  if elapsed > 0 else 0.0),
-            "time_shares": o.tracer.wall_shares(),
-            "totals": o.tracer.wall_totals(),
-            "python": platform.python_version(),
+        "controller": {
+            "rounds": controller.rounds,
+            "reports_received": controller.reports_received,
+            "insertions": controller.insertions,
+            "evictions": controller.evictions,
+            "rejections": controller.rejections,
         },
-    }
+        "net": {
+            "delivered": o.net_delivered.value,
+            "dropped": o.net_dropped.value,
+        },
+        "reliability": {
+            "client_retries": client.retransmissions,
+            "client_timeouts": client.timeouts,
+            "dedup_hits": sum(s.shim.dedup.hits
+                              for s in cluster.servers.values()),
+            "degraded_entries": sum(s.shim.degraded_entries
+                                    for s in cluster.servers.values()),
+        },
+        "latency": latency,
+        # Span counts only: sim-clocked spans open and close inside one
+        # event, so their sim-time totals are zero by construction.
+        "components": {name: {"count": agg["count"],
+                              "errors": agg["errors"]}
+                       for name, agg in o.tracer.summary().items()},
+    }, {
+        "elapsed_seconds": elapsed,
+        "events_per_second": sim.delivered / elapsed if elapsed > 0 else 0.0,
+        "time_shares": o.tracer.wall_shares(),
+        "totals": o.tracer.wall_totals(),
+    })
 
 
 # -- the statistics hot-path microbenchmark ----------------------------------------
 
 
-def _run_microbench(scenario: PerfScenario, seed: int,
+def _run_microbench(scenario: PerfScenario,
                     metrics_out: Optional[str]) -> Dict:
     """Drive the real data plane's statistics path, twice.
 
@@ -318,21 +304,17 @@ def _run_microbench(scenario: PerfScenario, seed: int,
     from repro.net.routing import RoutingTable
     from repro.sketch.reference import ScalarQueryStatistics
 
-    if metrics_out:
-        raise ConfigurationError(
-            "--metrics-out applies only to cluster scenarios")
+    rack = scenario.rack
     total = max(scenario.batch_size,
-                int(round(scenario.packets * scenario.duration)))
-    workload = Workload(WorkloadSpec(
-        num_keys=scenario.num_keys, read_skew=scenario.skew,
-        seed=seed, value_size=scenario.value_size))
+                int(round(scenario.packets * rack.duration)))
+    workload = Workload(rack.workload_spec())
     stream = [key for _op, key in workload.queries(total)]
-    cached = workload.hottest_keys(scenario.cache_items)
+    cached = workload.hottest_keys(rack.cache_items)
 
     def build(stats) -> NetCacheDataplane:
         dp = NetCacheDataplane(RoutingTable(default_port=0),
-                               entries=scenario.lookup_entries,
-                               value_slots=scenario.value_slots,
+                               entries=rack.lookup_entries,
+                               value_slots=rack.value_slots,
                                stats=stats)
         ports = dp.num_pipes * dp.ports_per_pipe
         for i, key in enumerate(cached):
@@ -368,9 +350,9 @@ def _run_microbench(scenario: PerfScenario, seed: int,
     # path (the sampler's high-pass role belongs to cluster scenarios),
     # and neither engine consumes RNG state, so the priming pass cannot
     # perturb the measured pass's decisions.
-    fast = build(QueryStatistics(entries=scenario.lookup_entries,
-                                 hot_threshold=scenario.hot_threshold,
-                                 sample_rate=1.0, seed=seed))
+    fast = build(QueryStatistics(entries=rack.lookup_entries,
+                                 hot_threshold=rack.hot_threshold,
+                                 sample_rate=1.0, seed=rack.seed))
     run_stream(fast, batched=True)  # priming pass: fill the digest table
     fast.reset_statistics()
     hits0, misses0 = fast.cache_hits, fast.cache_misses
@@ -381,9 +363,9 @@ def _run_microbench(scenario: PerfScenario, seed: int,
     hot_fast = run_stream(fast, batched=True)
     elapsed = time.perf_counter() - wall_start
 
-    ref = build(ScalarQueryStatistics(entries=scenario.lookup_entries,
-                                      hot_threshold=scenario.hot_threshold,
-                                      sample_rate=1.0, seed=seed))
+    ref = build(ScalarQueryStatistics(entries=rack.lookup_entries,
+                                      hot_threshold=rack.hot_threshold,
+                                      sample_rate=1.0, seed=rack.seed))
     ref_start = time.perf_counter()
     hot_ref = run_stream(ref, batched=False)
     ref_elapsed = time.perf_counter() - ref_start
@@ -400,96 +382,54 @@ def _run_microbench(scenario: PerfScenario, seed: int,
     speedup = ref_elapsed / elapsed if elapsed > 0 else 0.0
     pps = total / elapsed if elapsed > 0 else 0.0
     ref_pps = total / ref_elapsed if ref_elapsed > 0 else 0.0
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "scenario": scenario.name,
-        "seed": seed,
-        "config": dataclasses.asdict(scenario),
-        "results": {
-            "packets": total,
-            "cache_hits": cache_hits,
-            "cache_misses": cache_misses,
-            "hit_ratio": (cache_hits / total) if total else 0.0,
-            "hot_reports": len(hot_fast),
-            "resets": fast.stats.resets - resets0,
-            "sampler_observed": sampler.observed,
-            "sampler_sampled": sampler.sampled,
-            "digest": fast.stats.digests.stats(),
-            "reference_matches": matches,
-        },
-        "wall": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "elapsed_seconds": elapsed,
-            "packets_per_second": pps,
-            "reference_elapsed_seconds": ref_elapsed,
-            "reference_packets_per_second": ref_pps,
-            "speedup_vs_scalar": speedup,
-            "python": platform.python_version(),
-            "notes": (f"warm vectorized hot path ran {speedup:.1f}x the "
-                      f"scalar hash-per-access reference on this host "
-                      f"({pps:,.0f} vs {ref_pps:,.0f} packets/s over "
-                      f"{total} packets)"),
-        },
-    }
+    return _snapshot(scenario, {
+        "packets": total,
+        "cache_hits": cache_hits,
+        "cache_misses": cache_misses,
+        "hit_ratio": (cache_hits / total) if total else 0.0,
+        "hot_reports": len(hot_fast),
+        "resets": fast.stats.resets - resets0,
+        "sampler_observed": sampler.observed,
+        "sampler_sampled": sampler.sampled,
+        "digest": fast.stats.digests.stats(),
+        "reference_matches": matches,
+    }, {
+        "elapsed_seconds": elapsed,
+        "packets_per_second": pps,
+        "reference_elapsed_seconds": ref_elapsed,
+        "reference_packets_per_second": ref_pps,
+        "speedup_vs_scalar": speedup,
+        "notes": (f"warm vectorized hot path ran {speedup:.1f}x the "
+                  f"scalar hash-per-access reference on this host "
+                  f"({pps:,.0f} vs {ref_pps:,.0f} packets/s over "
+                  f"{total} packets)"),
+    })
 
 
 # -- the dual-path simulator-core benchmark ----------------------------------------
 
 
-def _simcore_config(scenario: PerfScenario, seed: int):
-    """The :class:`~repro.sim.simcore.SimCoreConfig` a scenario describes."""
-    from repro.sim.simcore import SimCoreConfig
+def _race(rack: RackSpec) -> Tuple[Dict, Dict, Dict]:
+    """Race the batched lanes engine against the scalar event loop.
 
-    return SimCoreConfig(
-        num_servers=scenario.num_servers, num_keys=scenario.num_keys,
-        cache_items=scenario.cache_items,
-        lookup_entries=scenario.lookup_entries, skew=scenario.skew,
-        write_ratio=scenario.write_ratio, rate=scenario.rate,
-        duration=scenario.duration, hot_threshold=scenario.hot_threshold,
-        stats_interval=scenario.stats_interval, seed=seed,
-        num_clients=scenario.num_clients,
-        client_rates=scenario.client_rates, retries=scenario.retries,
-        layout=scenario.layout, value_size=scenario.value_size,
-        num_value_stages=scenario.num_value_stages)
-
-
-def _race_simcore(config):
-    """Run one scenario under both paths; returns the race quintuple
-    ``(scalar, batched, diffs, batched_elapsed, scalar_elapsed)``."""
+    Both paths run the same rack from identical seeds; the scalar loop is
+    the executable specification, and
+    :func:`~repro.sim.simcore.diff_snapshots` must come back empty — every
+    counter, per-key register, per-server/per-link total, latency sample,
+    and the delivery-trace digest byte-identical.  Returns ``(results,
+    wall, scalar)``: the gated results, the measured timings, and the
+    scalar run's counter snapshot.
+    """
     from repro.sim.simcore import diff_snapshots, run_batched, run_scalar
 
     wall_start = time.perf_counter()
-    batched = run_batched(config)
+    batched = run_batched(rack)
     elapsed = time.perf_counter() - wall_start
     ref_start = time.perf_counter()
-    scalar = run_scalar(config)
+    scalar = run_scalar(rack)
     ref_elapsed = time.perf_counter() - ref_start
-    return scalar, batched, diff_snapshots(scalar, batched), \
-        elapsed, ref_elapsed
-
-
-def _run_simcore(scenario: PerfScenario, seed: int,
-                 metrics_out: Optional[str]) -> Dict:
-    """Race the batched lanes engine against the scalar event loop.
-
-    Both paths run the same :class:`~repro.sim.simcore.SimCoreConfig`
-    scenario from identical seeds; the scalar loop is the executable
-    specification, and :func:`~repro.sim.simcore.diff_snapshots` must come
-    back empty — every counter, per-key register, per-server/per-link
-    total, latency sample, and the delivery-trace digest byte-identical.
-    The measured speedup lands in ``wall``; the equivalence verdict is a
-    gated result.
-    """
-    if metrics_out:
-        raise ConfigurationError(
-            "--metrics-out applies only to cluster scenarios")
-    config = _simcore_config(scenario, seed)
-    scalar, batched, diffs, elapsed, ref_elapsed = _race_simcore(config)
-
-    total = config.packets
-    speedup = ref_elapsed / elapsed if elapsed > 0 else 0.0
-    pps = total / elapsed if elapsed > 0 else 0.0
-    ref_pps = total / ref_elapsed if ref_elapsed > 0 else 0.0
+    diffs = diff_snapshots(scalar, batched)
+    total = rack.packets
 
     def clients_total(field: str) -> int:
         """Sum a per-client counter over client, client1, client2, ..."""
@@ -503,54 +443,58 @@ def _run_simcore(scenario: PerfScenario, seed: int,
         return total
 
     received = clients_total("received")
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "scenario": scenario.name,
-        "seed": seed,
-        "config": dataclasses.asdict(scenario),
-        "results": {
-            "packets": total,
-            "queries_sent": clients_total("sent"),
-            "queries_received": received,
-            "cache_hits": clients_total("cache_hits"),
-            "cache_hit_ratio": (clients_total("cache_hits") / received
-                                if received else 0.0),
-            "writes_seen": scalar.get("dataplane.writes_seen", 0),
-            "retransmissions": clients_total("retransmissions"),
-            "deliveries": scalar["sim.delivered"],
-            "lost": scalar["sim.lost"],
-            "trace_digest": scalar["trace.digest"],
-            "divergences": len(diffs),
-            "divergent_fields": diffs[:20],
-            "paths_match": not diffs,
-            # Engine-side telemetry: the fraction of packets that ran
-            # under lanes and why the rest scalarized.  A run that
-            # silently scalarizes shows up here (and the georace gate
-            # holds these exactly for the non-paper geometries).
-            "fastpath_coverage": batched.get("fastpath.coverage", 0.0),
-            "fallback_reasons": batched.get("fastpath.fallbacks", {}),
-        },
-        "wall": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "elapsed_seconds": elapsed,
-            "packets_per_second": pps,
-            "reference_elapsed_seconds": ref_elapsed,
-            "reference_packets_per_second": ref_pps,
-            "speedup_vs_scalar": speedup,
-            "python": platform.python_version(),
-            "notes": (f"batched lanes engine ran {speedup:.1f}x the scalar "
-                      f"event loop on this host ({pps:,.0f} vs "
-                      f"{ref_pps:,.0f} packets/s over {total:,} packets), "
-                      f"byte-identical counters "
-                      f"{'confirmed' if not diffs else 'VIOLATED'}"),
-        },
+    results = {
+        "packets": total,
+        "queries_sent": clients_total("sent"),
+        "queries_received": received,
+        "cache_hits": clients_total("cache_hits"),
+        "cache_hit_ratio": (clients_total("cache_hits") / received
+                            if received else 0.0),
+        "writes_seen": scalar.get("dataplane.writes_seen", 0),
+        "retransmissions": clients_total("retransmissions"),
+        "deliveries": scalar["sim.delivered"],
+        "lost": scalar["sim.lost"],
+        "trace_digest": scalar["trace.digest"],
+        "divergences": len(diffs),
+        "divergent_fields": diffs[:20],
+        "paths_match": not diffs,
+        # Engine-side telemetry: the fraction of packets that ran under
+        # lanes and why the rest scalarized.  A run that silently
+        # scalarizes shows up here (and the georace gate holds these
+        # exactly for the non-paper geometries).
+        "fastpath_coverage": batched.get("fastpath.coverage", 0.0),
+        "fallback_reasons": batched.get("fastpath.fallbacks", {}),
     }
+    wall = {
+        "elapsed_seconds": elapsed,
+        "packets_per_second": total / elapsed if elapsed > 0 else 0.0,
+        "reference_elapsed_seconds": ref_elapsed,
+        "reference_packets_per_second": (total / ref_elapsed
+                                         if ref_elapsed > 0 else 0.0),
+        "speedup_vs_scalar": ref_elapsed / elapsed if elapsed > 0 else 0.0,
+    }
+    return results, wall, scalar
+
+
+def _run_simcore(scenario: PerfScenario,
+                 metrics_out: Optional[str]) -> Dict:
+    """One dual-path race (:func:`_race`): the equivalence verdict is a
+    gated result, the measured speedup lands in ``wall``."""
+    results, wall, _ = _race(scenario.rack)
+    wall["notes"] = (
+        f"batched lanes engine ran {wall['speedup_vs_scalar']:.1f}x the "
+        f"scalar event loop on this host "
+        f"({wall['packets_per_second']:,.0f} vs "
+        f"{wall['reference_packets_per_second']:,.0f} packets/s over "
+        f"{results['packets']:,} packets), byte-identical counters "
+        f"{'confirmed' if results['paths_match'] else 'VIOLATED'}")
+    return _snapshot(scenario, results, wall)
 
 
 # -- the geometry race: non-paper layouts dual-path at full scale -------------------
 
 
-def _run_georace(scenario: PerfScenario, seed: int,
+def _run_georace(scenario: PerfScenario,
                  metrics_out: Optional[str]) -> Dict:
     """Race each :data:`GEORACE_CELLS` geometry dual-path at full scale.
 
@@ -564,66 +508,32 @@ def _run_georace(scenario: PerfScenario, seed: int,
     counters still match.  Wall speedups land per layout in ``wall``; the
     CI race additionally asserts each one stays >= 3x.
     """
-    if metrics_out:
-        raise ConfigurationError(
-            "--metrics-out applies only to cluster scenarios")
     results: Dict = {}
     wall_cells: Dict = {}
     wall_start = time.perf_counter()
     for cell in GEORACE_CELLS:
-        cell_scenario = dataclasses.replace(scenario, **cell)
-        config = _simcore_config(cell_scenario, seed)
-        scalar, batched, diffs, elapsed, ref_elapsed = _race_simcore(config)
-        fallbacks = batched.get("fastpath.fallbacks", {})
-        total = config.packets
-        speedup = ref_elapsed / elapsed if elapsed > 0 else 0.0
-        results[cell["layout"]] = {
-            "value_size": cell["value_size"],
-            "num_value_stages": cell["num_value_stages"],
-            "packets": total,
-            "cache_hits": scalar.get("client.cache_hits", 0),
-            "deliveries": scalar["sim.delivered"],
-            "lost": scalar["sim.lost"],
-            "recirculations": scalar.get("layout.recirculations", 0),
-            "trace_digest": scalar["trace.digest"],
-            "divergences": len(diffs),
-            "divergent_fields": diffs[:20],
-            "paths_match": not diffs,
-            "fastpath_coverage": batched.get("fastpath.coverage", 0.0),
-            "layout_fallbacks": fallbacks.get("layout", 0),
-            "fallback_reasons": fallbacks,
-        }
-        wall_cells[cell["layout"]] = {
-            "elapsed_seconds": elapsed,
-            "packets_per_second": total / elapsed if elapsed > 0 else 0.0,
-            "reference_elapsed_seconds": ref_elapsed,
-            "reference_packets_per_second": (total / ref_elapsed
-                                             if ref_elapsed > 0 else 0.0),
-            "speedup_vs_scalar": speedup,
-        }
-    elapsed_all = time.perf_counter() - wall_start
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "scenario": scenario.name,
-        "seed": seed,
-        "config": dataclasses.asdict(scenario),
-        "results": results,
-        "wall": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "elapsed_seconds": elapsed_all,
-            "cells": wall_cells,
-            "python": platform.python_version(),
-            "notes": ", ".join(
-                f"{name} ran {w['speedup_vs_scalar']:.1f}x the scalar loop"
-                for name, w in wall_cells.items()),
-        },
-    }
+        cell_results, wall_cells[cell["layout"]], scalar = _race(
+            dataclasses.replace(scenario.rack, **cell))
+        cell_results.update(
+            value_size=cell["value_size"],
+            num_value_stages=cell["num_value_stages"],
+            recirculations=scalar.get("layout.recirculations", 0),
+            layout_fallbacks=cell_results["fallback_reasons"].get(
+                "layout", 0))
+        results[cell["layout"]] = cell_results
+    return _snapshot(scenario, results, {
+        "elapsed_seconds": time.perf_counter() - wall_start,
+        "cells": wall_cells,
+        "notes": ", ".join(
+            f"{name} ran {w['speedup_vs_scalar']:.1f}x the scalar loop"
+            for name, w in wall_cells.items()),
+    })
 
 
 # -- the cache-geometry tournament --------------------------------------------------
 
 
-def _run_tournament(scenario: PerfScenario, seed: int,
+def _run_tournament(scenario: PerfScenario,
                     metrics_out: Optional[str]) -> Dict:
     """Sweep the geometry grid (see :mod:`repro.tools.tournament`).
 
@@ -634,36 +544,27 @@ def _run_tournament(scenario: PerfScenario, seed: int,
     drives the data plane directly, without a simulator)."""
     from repro.tools.tournament import cells_to_csv, run_tournament
 
+    rack = scenario.rack
     wall_start = time.perf_counter()
     result = run_tournament(
-        num_keys=scenario.num_keys, cache_items=scenario.cache_items,
-        lookup_entries=scenario.lookup_entries,
-        value_slots=scenario.value_slots, packets=scenario.packets,
-        seed=seed)
+        num_keys=rack.num_keys, cache_items=rack.cache_items,
+        lookup_entries=rack.lookup_entries, value_slots=rack.value_slots,
+        packets=scenario.packets, seed=rack.seed)
     elapsed = time.perf_counter() - wall_start
     if metrics_out:
         with open(metrics_out, "w") as fh:
             fh.write(cells_to_csv(result["cells"]))
     cells = len(result["cells"])
     total = cells * scenario.packets
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "scenario": scenario.name,
-        "seed": seed,
-        "config": dataclasses.asdict(scenario),
-        "results": {
-            "cells": result["cells"],
-            **result["summary"],
-        },
-        "wall": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "elapsed_seconds": elapsed,
-            "packets_per_second": total / elapsed if elapsed > 0 else 0.0,
-            "python": platform.python_version(),
-            "notes": (f"{cells} grid cells x {scenario.packets} queries "
-                      f"in {elapsed:.1f}s"),
-        },
-    }
+    return _snapshot(scenario, {
+        "cells": result["cells"],
+        **result["summary"],
+    }, {
+        "elapsed_seconds": elapsed,
+        "packets_per_second": total / elapsed if elapsed > 0 else 0.0,
+        "notes": (f"{cells} grid cells x {scenario.packets} queries "
+                  f"in {elapsed:.1f}s"),
+    })
 
 
 def snapshot_to_json(snapshot: Dict) -> str:
@@ -677,19 +578,14 @@ def strip_volatile(snapshot: Dict) -> Dict:
 
 def render_snapshot(snapshot: Dict) -> str:
     """Human-readable digest of one snapshot."""
-    config = snapshot.get("config", {})
-    if isinstance(config, dict) and config.get("kind") == "microbench":
-        return _render_microbench(snapshot)
-    if isinstance(config, dict) and config.get("kind") == "simcore":
-        return _render_simcore(snapshot)
-    if isinstance(config, dict) and config.get("kind") == "tournament":
-        return _render_tournament(snapshot)
-    if isinstance(config, dict) and config.get("kind") == "georace":
-        return _render_georace(snapshot)
+    return _kind_of(snapshot).render(snapshot)
+
+
+def _render_cluster(snapshot: Dict) -> str:
     r = snapshot["results"]
     lines = [
         f"scenario {snapshot['scenario']} seed={snapshot['seed']} "
-        f"duration={snapshot['config']['duration']:g}s",
+        f"duration={snapshot['config']['rack']['duration']:g}s",
         f"throughput   : {r['throughput_qps']:,.0f} qps "
         f"({r['queries_received']}/{r['queries_sent']} answered)",
         f"cache        : {r['cache_hit_ratio']:.1%} client hit ratio, "
@@ -867,23 +763,50 @@ GEORACE_GUARDED_METRICS: Tuple[Tuple[Tuple[str, ...], str], ...] = tuple(
 )
 
 
-def _guarded_metrics(snapshot: Dict) -> Tuple[Tuple[Tuple[str, ...], str], ...]:
-    """The metric set a snapshot is gated on, by its scenario kind.
+@dataclasses.dataclass(frozen=True)
+class ScenarioKind:
+    """How scenarios of one kind run, render, and are gated."""
+
+    #: ``(scenario, metrics_out) -> snapshot``.
+    run: Callable[[PerfScenario, Optional[str]], Dict]
+    render: Callable[[Dict], str]
+    guarded: Tuple[Tuple[Tuple[str, ...], str], ...]
+    #: writes a ``--metrics-out`` file; the other kinds refuse the flag.
+    metrics_out: bool = False
+
+
+#: every scenario kind; a new kind is one row here.
+KINDS: Dict[str, ScenarioKind] = {
+    "cluster": ScenarioKind(_run_cluster, _render_cluster, GUARDED_METRICS,
+                            metrics_out=True),
+    "microbench": ScenarioKind(_run_microbench, _render_microbench,
+                               MICROBENCH_GUARDED_METRICS),
+    "simcore": ScenarioKind(_run_simcore, _render_simcore,
+                            SIMCORE_GUARDED_METRICS),
+    "tournament": ScenarioKind(_run_tournament, _render_tournament,
+                               TOURNAMENT_GUARDED_METRICS, metrics_out=True),
+    "georace": ScenarioKind(_run_georace, _render_georace,
+                            GEORACE_GUARDED_METRICS),
+}
+
+
+def _kind_of(snapshot: Dict) -> ScenarioKind:
+    """A snapshot's scenario kind; raises on a kind :data:`KINDS` lacks.
 
     Cluster snapshots predate the ``kind`` field, so a missing kind means
     "cluster" and old committed baselines stay valid unchanged.
     """
     config = snapshot.get("config")
-    kind = config.get("kind", "cluster") if isinstance(config, dict) else "cluster"
-    if kind == "microbench":
-        return MICROBENCH_GUARDED_METRICS
-    if kind == "simcore":
-        return SIMCORE_GUARDED_METRICS
-    if kind == "tournament":
-        return TOURNAMENT_GUARDED_METRICS
-    if kind == "georace":
-        return GEORACE_GUARDED_METRICS
-    return GUARDED_METRICS
+    name = (config.get("kind", "cluster") if isinstance(config, dict)
+            else "cluster")
+    if name not in KINDS:
+        raise ConfigurationError(f"unknown scenario kind {name!r}")
+    return KINDS[name]
+
+
+def _guarded_metrics(snapshot: Dict) -> Tuple[Tuple[Tuple[str, ...], str], ...]:
+    """The metric set a snapshot is gated on, by its scenario kind."""
+    return _kind_of(snapshot).guarded
 
 
 def _get_path(snapshot: Dict, path: Tuple[str, ...]):
@@ -906,7 +829,11 @@ def validate_snapshot(snapshot: Dict) -> List[str]:
     for field in ("scenario", "seed", "config", "results"):
         if field not in snapshot:
             problems.append(f"missing top-level field {field!r}")
-    for path, _direction in _guarded_metrics(snapshot):
+    try:
+        guarded = _guarded_metrics(snapshot)
+    except ConfigurationError as exc:
+        return problems + [str(exc)]
+    for path, _direction in guarded:
         value = _get_path(snapshot, path)
         if not isinstance(value, (int, float)):
             problems.append(

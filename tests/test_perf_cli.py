@@ -75,6 +75,10 @@ def test_snapshot_file_is_well_formed(snapshot_file):
     assert 0 < results["cache_hit_ratio"] <= 1
     assert results["latency"]["client.request"]["p99"] > 0
     assert "dataplane.process" in results["components"]
+    # Sim-clocked spans have zero sim-time extent, so a component keeps
+    # only its counts.
+    for name, agg in results["components"].items():
+        assert sorted(agg) == ["count", "errors"], name
 
 
 def test_self_compare_passes(snapshot_file, capsys):
@@ -182,6 +186,23 @@ def test_compare_threshold_is_exact_boundary(snapshot_file):
     assert perf.compare_snapshots(snap, worse) == []
     worse["results"]["throughput_qps"] *= 0.98
     assert perf.compare_snapshots(snap, worse) != []
+
+
+def test_metrics_out_refusal_names_the_accepting_kinds():
+    with pytest.raises(ConfigurationError) as exc:
+        perf.run_scenario("simcore", metrics_out="x.jsonl")
+    message = str(exc.value)
+    assert "cluster" in message and "tournament" in message
+
+
+def test_snapshot_kind_is_checked(snapshot_file):
+    """An unknown kind is named; a missing kind still means cluster, so
+    baselines written before the field existed stay valid."""
+    snap = _load(snapshot_file)
+    snap["config"]["kind"] = "warp"
+    assert perf.validate_snapshot(snap) == ["unknown scenario kind 'warp'"]
+    del snap["config"]["kind"]
+    assert perf.validate_snapshot(snap) == []
 
 
 def test_validate_snapshot_reports_each_problem():

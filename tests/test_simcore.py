@@ -1,4 +1,4 @@
-"""Scalar vs batched equivalence, engine eligibility, and fast-forward.
+"""Scalar vs batched equivalence and engine eligibility.
 
 The differential tests here are the hand-picked scenarios; random ones live
 in ``tests/test_prop_simcore.py`` and the committed 100k-packet pin in
@@ -23,7 +23,6 @@ from repro.sim.simcore import (
     diff_snapshots,
     obs_snapshot,
     observed_session,
-    rack_equilibrium,
     run_batched,
     run_scalar,
 )
@@ -209,68 +208,6 @@ class TestEligibility:
         second = cluster.add_workload_client(workload.fork(7919), rate=1e5)
         with pytest.raises(ConfigurationError):
             FastPathEngine(cluster, second)
-
-
-def hit_ratio(snap):
-    return snap["client.cache_hits"] / snap["client.received"]
-
-
-class TestFastForward:
-    def settled(self, **overrides):
-        """A quiescent scenario: warm cache, reporting effectively off."""
-        defaults = dict(num_servers=4, num_keys=1_000, cache_items=32,
-                        lookup_entries=256, rate=1e5, duration=0.6,
-                        stats_interval=0.1, hot_threshold=1_000_000, seed=11)
-        defaults.update(overrides)
-        return SimCoreConfig(**defaults)
-
-    @pytest.mark.parametrize("overrides", [
-        dict(),                              # zipf-0.99, 32-item cache
-        dict(skew=0.9, cache_items=16, lookup_entries=128, seed=12),
-    ])
-    def test_matches_event_mode_and_equilibrium(self, overrides):
-        cfg = self.settled(**overrides)
-        event = run_batched(cfg, fast_forward=False)
-        ff = run_batched(cfg, fast_forward=True)
-        assert ff["ff_epochs"] > 0
-        assert hit_ratio(ff) == pytest.approx(hit_ratio(event), abs=0.02)
-        # Below saturation the client delivers everything under both modes.
-        assert ff["client.received"] == pytest.approx(
-            event["client.received"], rel=0.01)
-        cluster, client, workload = build_rack(cfg)
-        eq = rack_equilibrium(cluster, workload)
-        assert hit_ratio(ff) == pytest.approx(eq.hit_ratio, abs=0.02)
-
-    def test_disabled_while_fault_window_open(self):
-        cfg = self.settled(rate=2e4, duration=0.5)
-
-        def run(script):
-            cluster, client, workload = build_rack(cfg)
-            script(cluster, client)
-            runner = SimCoreRunner(cluster, client, workload,
-                                   trace=DeliveryTrace(), fast_forward=True)
-            runner.run(cfg.duration)
-            return runner
-
-        burst = run(lambda cluster, client: cluster.link_to(
-            client.node_id).start_loss_burst(0.3, until=1e9))
-        assert burst.ff_epochs == 0
-        clean = run(lambda cluster, client: None)
-        assert clean.ff_epochs > 0
-
-    def test_mixed_workload_fast_forwards(self):
-        # Write-ratio-aware equilibria: mixed epochs fast-forward too,
-        # with write/invalidation accounting synthesized from the
-        # cached-write fraction.
-        cfg = self.settled(write_ratio=0.05)
-        event = run_batched(cfg, fast_forward=False)
-        ff = run_batched(cfg, fast_forward=True)
-        assert ff["ff_epochs"] > 0
-        assert ff["dataplane.writes_seen"] > 0
-        assert ff["dataplane.invalidations"] > 0
-        assert hit_ratio(ff) == pytest.approx(hit_ratio(event), abs=0.02)
-        assert ff["client.received"] == pytest.approx(
-            event["client.received"], rel=0.01)
 
 
 class TestCoverage:
