@@ -108,13 +108,28 @@ class EventQueue:
         Cancelled heads are popped eagerly so the answer is exact; the
         batched fast path uses this to pick its flush boundaries without
         disturbing event order."""
+        ev = self.peek()
+        return None if ev is None else ev.time
+
+    def peek(self) -> Optional[Event]:
+        """The next live event, left in the queue (None when empty)."""
         while self._heap:
             ev = self._heap[0]
             if ev.cancelled:
                 heapq.heappop(self._heap)
                 continue
-            return ev.time
+            return ev
         return None
+
+    def mark(self) -> int:
+        """Draw a sequence number without scheduling anything.
+
+        It orders after every event scheduled so far and before every
+        event scheduled later — the tie-break position an event scheduled
+        now would get.  The batched fast path stamps its lane chunks with
+        one so equal-time lane entries and events keep the heap's order.
+        """
+        return next(self._seq)
 
     def step(self) -> bool:
         """Run the next pending event; returns False when the queue is empty."""

@@ -113,6 +113,24 @@ class TestPeek:
         q.peek_time()
         assert q.now == 0.0
 
+    def test_peek_returns_head_event_without_removing_it(self):
+        q = EventQueue()
+        assert q.peek() is None
+        late = q.schedule(2.0, lambda: None)
+        early = q.schedule(1.0, lambda: None)
+        assert q.peek() is early
+        early.cancel()
+        assert q.peek() is late
+        assert len(q) == 1
+
+    def test_mark_orders_between_earlier_and_later_events(self):
+        q = EventQueue()
+        before = q.schedule(1.0, lambda: None)
+        mark = q.mark()
+        after = q.schedule(1.0, lambda: None)
+        assert before.seq < mark < after.seq
+        assert len(q) == 2
+
 
 class TestCancellation:
     def test_cancelled_event_skipped(self):

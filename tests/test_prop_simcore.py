@@ -10,7 +10,7 @@ miss should shrink to a small reproducer here.
 
 import dataclasses
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.simcore import (
@@ -113,7 +113,23 @@ def test_batched_replays_scalar_exactly(config, plan):
     assert diff_snapshots(scalar, batched) == []
 
 
+# An exact-time tie between a lane entry and an event: a retransmission
+# (event path) and a fresh lane request complete on two servers at the
+# same float time, so both replies reach the same client at 0.0187082 s.
+# The scalar heap delivers the lane one first (it was scheduled first).
+_LANE_EVENT_TIE = (
+    SimCoreConfig(num_servers=2, num_keys=250, cache_items=8,
+                  lookup_entries=128, write_ratio=0.0, rate=5e4,
+                  duration=DURATION, warm=False, hot_threshold=4,
+                  retries=True, seed=30549, num_clients=3,
+                  client_rates=(1e5, 1e5, 1e5)),
+    FaultPlan(flap_server=True, victim=0, loss_burst=False, burst_prob=0.2,
+              dup_window=False, dup_prob=0.2),
+)
+
+
 @given(config=multi_client_configs(), plan=plans)
+@example(*_LANE_EVENT_TIE)
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_kway_merge_replays_scalar_exactly(config, plan):
